@@ -36,7 +36,16 @@ class BadGrsParameters(IpltError):
 
 
 class CompletionFailed(IpltError):
-    """Pinned-column MDS completion exhausted its retry budget."""
+    """No MDS matrix extends the pinned columns a planted trailing block needs."""
+
+
+class NotGrs(CompletionFailed):
+    """A matrix does not generate a generalized Reed-Solomon (GRS) code.
+
+    The planted trailing block extends the demand's GRS code by fresh
+    evaluation points, so a demand whose coefficient matrix is MDS but not
+    GRS cannot be planted on it.
+    """
 
 
 class RankError(IpltError):

@@ -3,7 +3,8 @@
 Matrices are immutable, row-major tuples of tuples of ints reduced mod q.
 Everything is computed exactly with integer arithmetic; no floats anywhere.
 Structured constructions used by the protocol live here too: Cauchy blocks,
-generalized Reed-Solomon (GRS) generators, pinned-column MDS completion, and
+generalized Reed-Solomon (GRS) generators, recovery of a GRS code's points
+and multipliers, GRS extension around pinned columns, and
 generator-from-parity via null spaces.
 """
 
@@ -15,9 +16,9 @@ from typing import Iterable, Sequence
 
 from .errors import (
     BadGrsParameters,
-    CompletionFailed,
     DegenerateCauchy,
     InconsistentSystem,
+    NotGrs,
     RankError,
     ShapeError,
 )
@@ -363,140 +364,110 @@ def random_grs(q: int, k: int, n: int, rng: random.Random) -> FqMatrix:
     return grs_generator(q, k, n, points, multipliers)
 
 
-_COLUMN_TRIES = 64
+def grs_parameters(g: FqMatrix) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Points and multipliers of the GRS code that g generates.
 
-
-def _column_extends(placed: list[tuple[int, ...]], cand: tuple[int, ...], q: int) -> bool:
-    """True iff cand keeps the placed columns completable to an MDS matrix.
-
-    With at least rows-1 columns placed, checks every maximal minor the
-    candidate completes; with fewer, checks plain linear independence.
+    Returns finite distinct points P and nonzero multipliers m such that
+    grs_generator(q, k, n, P, m) has the row space of g, or raises NotGrs
+    when no such pair exists.  In the systematic form [I | A] of a GRS code,
+    A[i][j] = c_i d_j / (y_j - x_i) is a generalized Cauchy matrix (Roth and
+    Seroussi, "On generator matrices of MDS codes", 1985).  Dividing out the
+    scalings c and d places the first parity point at infinity, x_0 at 0
+    and y_1 at 1, which fixes every other point; z -> 1/(z - a) for an
+    unused field element a then makes all points finite.  When k <= 1 or
+    n - k <= 1 any distinct points work.  The closing row-space comparison
+    is the proof that g is GRS.  Draws no randomness and costs O(k n^2)
+    field operations.
     """
-    r = len(cand)
-    k = len(placed)
-    if k >= r - 1:
-        for sub in itertools.combinations(placed, r - 1):
-            sq = [[col[i] for col in sub] + [cand[i]] for i in range(r)]
-            if not _invertible(sq, q):
-                return False
-        return True
-    mat = [list(col) for col in placed] + [list(cand)]
-    red, piv = _rref(mat, q)
-    return len(piv) == k + 1
+    q, k, n = g.q, g.rows, g.cols
+    if n > q:
+        raise NotGrs(f"a GRS code of length {n} needs {n} distinct points, GF({q}) has {q}")
+    red, piv = _rref(g.to_rows(), q)
+    if piv != list(range(k)):
+        raise NotGrs("the leading columns are dependent, so the code is not MDS")
+    r = n - k
+    a = [row[k:] for row in red]
+    if any(v == 0 for row in a for v in row):
+        raise NotGrs("the systematic form has a zero entry, so the code is not MDS")
+
+    def inv(v: int) -> int:
+        return pow(v, q - 2, q)
+
+    if k <= 1 or r <= 1:
+        points = list(range(n))
+    else:
+        # With A's scalings divided out, c[i][j] = y_j / (y_j - x_i).
+        c = [[a[i][j] * a[0][0] * inv(a[i][0] * a[0][j]) % q for j in range(r)] for i in range(k)]
+        if 1 in c[1][1:]:
+            raise NotGrs("a parity point collides with the point at infinity")
+        xs = [(1 - inv(c[i][1])) % q for i in range(k)]
+        ys = [c[1][j] * xs[1] * inv(c[1][j] - 1) % q for j in range(1, r)]
+        finite = xs + ys
+        if len(set(finite)) != n - 1 or any(
+            c[i][j] != ys[j - 1] * inv(ys[j - 1] - xs[i]) % q
+            for i in range(k)
+            for j in range(1, r)
+        ):
+            raise NotGrs("the systematic form is not a generalized Cauchy matrix")
+        used = set(finite)
+        shift = next(z for z in range(q) if z not in used)
+        points = [inv(z - shift) for z in xs] + [0] + [inv(z - shift) for z in ys]
+    if k == 0 or r == 0:
+        mults = [1] * n
+    else:
+        # rref(V diag(m)) = [I | diag(m_x)^-1 A' diag(m_y)] for the systematic
+        # part A' of the unit-multiplier generator V; solve with m_x[0] = 1.
+        base, _ = _rref(grs_generator(q, k, n, points, [1] * n).to_rows(), q)
+        my = [a[0][j] * inv(base[0][k + j]) % q for j in range(r)]
+        mx = [base[i][k] * my[0] * inv(a[i][0]) % q for i in range(k)]
+        mults = mx + my
+    if _rref(grs_generator(q, k, n, points, mults).to_rows(), q)[0] != red:
+        raise NotGrs("the recovered points and multipliers do not reproduce the code")
+    return tuple(points), tuple(mults)
 
 
-def _hyperplane_normal(cols: Sequence[tuple[int, ...]], q: int) -> tuple[int, ...]:
-    """Normal vector of the hyperplane spanned by r-1 independent r-vectors.
-
-    A candidate column lies on the hyperplane (completes a singular maximal
-    minor with these columns) iff its dot product with the normal is zero.
-    """
-    r = len(cols[0])
-    red, piv = _rref([list(c) for c in cols], q)
-    if len(piv) != r - 1:
-        raise CompletionFailed(
-            "fixed columns contain a dependent subset; no MDS completion exists"
-        )
-    pivset = set(piv)
-    f = next(c for c in range(r) if c not in pivset)
-    v = [0] * r
-    v[f] = 1
-    for i, pc in enumerate(piv):
-        v[pc] = (-red[i][f]) % q
-    return tuple(v)
-
-
-def mds_complete(
-    template: FqMatrix,
-    free_cols: Iterable[int],
+def grs_extend(
+    g: FqMatrix,
+    points: Sequence[int],
+    multipliers: Sequence[int],
+    positions: Sequence[int],
+    width: int,
     rng: random.Random,
-    retry_cap: int = 100_000,
 ) -> FqMatrix:
-    """Fill the free columns of template so the whole matrix is MDS.
+    """MDS matrix of the given width whose columns at positions equal g.
 
-    The fixed columns (all others) are kept bit-identical and must be
-    mutually MDS already.  Free columns are filled one at a time by
-    rejection sampling against the hyperplanes spanned by the (rows-1)
-    column subsets placed so far: a candidate is acceptable iff no such
-    hyperplane contains it, tested by one dot product with each precomputed
-    hyperplane normal.  The per-column try budget scales with the expected
-    acceptance density, and exhausting a column's budget restarts the whole
-    fill to escape genuinely dead-ended earlier placements.  The retry cap
-    counts candidate draws across restarts; exhausting it raises
-    CompletionFailed.
+    points and multipliers must describe the row space of g, as returned by
+    grs_parameters.  Every other column gets a fresh point, drawn uniformly
+    from the field elements not yet used, and a uniform nonzero multiplier.
+    The result is T @ ext for the GRS generator ext over all columns and the
+    one T with T @ ext[:, positions] = g, so it is MDS by construction and
+    keeps g bit-identical at positions.
     """
-    q, r, n = template.q, template.rows, template.cols
-    free = sorted(set(free_cols))
-    for c in free:
-        if not 0 <= c < n:
-            raise ShapeError(f"free column {c} out of range for {n} columns")
-    if r == 0 or not free:
-        return template
-    freeset = set(free)
-    fixed = [template.column(j) for j in range(n) if j not in freeset]
-    draws = 0
-
-    def spend() -> None:
-        nonlocal draws
-        draws += 1
-        if draws > retry_cap:
-            raise CompletionFailed(
-                f"no MDS completion found within {retry_cap} column draws"
-            )
-
-    if r == 1:
-        filled = {j: template.column(j) for j in range(n) if j not in freeset}
-        for f in free:
-            spend()
-            filled[f] = (rng.randrange(1, q),)
-        return FqMatrix(q, [[filled[j][0] for j in range(n)]], cols=n)
-
-    base_normals = (
-        [_hyperplane_normal(sub, q) for sub in itertools.combinations(fixed, r - 1)]
-        if len(fixed) >= r - 1
-        else []
-    )
-    while True:
-        placed = list(fixed)
-        normals = list(base_normals)
-        dead_end = False
-        for f in free:
-            use_normals = len(placed) >= r - 1
-            if use_normals:
-                density = (1.0 - 1.0 / q) ** len(normals)
-                tries = max(_COLUMN_TRIES, int(8.0 / max(density, 1e-15)))
-            else:
-                tries = _COLUMN_TRIES
-            tries = min(tries, max(1, retry_cap - draws))
-            chosen: tuple[int, ...] | None = None
-            for _ in range(tries):
-                spend()
-                cand = tuple(rng.randrange(q) for _ in range(r))
-                if use_normals:
-                    good = all(
-                        sum(a * b for a, b in zip(nv, cand)) % q for nv in normals
-                    )
-                else:
-                    good = _column_extends(placed, cand, q)
-                if good:
-                    chosen = cand
-                    break
-            if chosen is None:
-                dead_end = True
-                break
-            if len(placed) >= r - 2:
-                for sub in itertools.combinations(placed, r - 2):
-                    normals.append(_hyperplane_normal(list(sub) + [chosen], q))
-            placed.append(chosen)
-        if not dead_end:
-            filled = {j: template.column(j) for j in range(n) if j not in freeset}
-            for f, col in zip(free, placed[len(fixed) :]):
-                filled[f] = col
-            return FqMatrix(
-                q,
-                [[filled[j][i] for j in range(n)] for i in range(r)],
-                cols=n,
-            )
+    q, k, n = g.q, g.rows, g.cols
+    if width > q:
+        raise BadGrsParameters(f"need width <= q for distinct points, got width={width} q={q}")
+    pinned = set(positions)
+    if len(positions) != n or len(pinned) != n or not pinned <= set(range(width)):
+        raise ShapeError(f"need {n} distinct positions in [0, {width}), got {list(positions)}")
+    pts = [0] * width
+    mults = [0] * width
+    for j, col in enumerate(positions):
+        pts[col], mults[col] = points[j], multipliers[j]
+    taken = set(points)
+    for col in range(width):
+        if col in pinned:
+            continue
+        z = rng.randrange(q)
+        while z in taken:
+            z = rng.randrange(q)
+        taken.add(z)
+        pts[col], mults[col] = z, rng.randrange(1, q)
+    ext = grs_generator(q, k, width, pts, mults)
+    try:
+        t = solve(ext.take_cols(positions).transpose(), g.transpose()).transpose()
+    except InconsistentSystem:
+        raise NotGrs("g is not in the row space of the given GRS parameters") from None
+    return t.mul(ext)
 
 
 def generator_from_parity(h: FqMatrix, n: int) -> FqMatrix:

@@ -16,6 +16,9 @@ b; if b lands on the trailing block the construction branches:
   whose parity check embeds the null space of the demand matrix at D secret
   column positions.
 
+Both planted arrangements extend the demand's generalized Reed-Solomon
+(GRS) code, or its dual, by R fresh evaluation points (matrix.grs_extend).
+
 All randomness flows through one random.Random instance, so a seed fully
 determines the query.
 """
@@ -31,7 +34,6 @@ from typing import Optional, Sequence
 from .errors import (
     AlignmentSingular,
     BadShape,
-    CompletionFailed,
     FieldTooSmall,
     InconsistentSystem,
     NotMds,
@@ -43,8 +45,9 @@ from .matrix import (
     FqMatrix,
     cauchy,
     generator_from_parity,
+    grs_extend,
+    grs_parameters,
     is_mds,
-    mds_complete,
     random_grs,
     right_null_space,
     solve,
@@ -52,13 +55,6 @@ from .matrix import (
 
 ALIGN_S = "AlignS"
 PARITY_EMBED = "ParityEmbed"
-
-# Retry policy for the parity-embedding trailing block: the null-space rows
-# are value-pinned at the embedding support, and for small fields some
-# supports admit no MDS completion at all, so the builder redraws the
-# support a bounded number of times before giving up.
-_EMBED_TRIES = 8
-_EMBED_DRAWS = 120_000
 
 
 @dataclass(frozen=True)
@@ -363,6 +359,14 @@ def demand_positions(
     return [n * D + h[j] for j in range(D)]
 
 
+def _dual_multipliers(q: int, points: Sequence[int], mults: Sequence[int]) -> tuple[int, ...]:
+    """Multipliers u with GRS(P, m)^perp = GRS(P, u): u_j = 1 / (m_j prod_{i != j} (P_j - P_i))."""
+    return tuple(
+        pow(mj * math.prod(pj - pi for pi in points if pi != pj) % q, q - 2, q)
+        for pj, mj in zip(points, mults)
+    )
+
+
 def build_query(
     demand: Demand,
     params: ProtocolParams,
@@ -373,8 +377,14 @@ def build_query(
     Sub-steps, all driven by rng: shuffle the demand columns, sample the
     demand block b, draw decoy diagonal blocks, build the trailing block per
     case, and extend the demand placement to a full permutation uniformly.
+
+    When R > 0 and L < D a demand planted on the trailing block is extended
+    by fresh GRS evaluation points, so V must generate a GRS code (every
+    MDS V with L <= 2 or D - L <= 2 does).  Otherwise NotGrs is raised
+    before any draw from rng, so whether a query can be built never depends
+    on the secret block b.
     """
-    K, D, L, q, n = params.K, params.D, params.L, params.q, params.n
+    K, D, L, q, n, R = params.K, params.D, params.L, params.q, params.n, params.R
     if demand.V.q != q:
         raise BadShape(f"demand over GF({demand.V.q}), params over GF({q})")
     if len(demand.W) != D or demand.V.rows != L:
@@ -383,8 +393,12 @@ def build_query(
         )
     if max(demand.W) >= K:
         raise BadShape(f"demand index {max(demand.W)} out of range for K={K}")
+    grs = grs_parameters(demand.V) if R and L < D else None
 
     shuffled = shuffle_demand(demand, rng)
+    if grs is not None:
+        col = {w: j for j, w in enumerate(demand.W)}
+        points, mults = (tuple(seq[col[w]] for w in shuffled.W) for seq in grs)
     b = select_block(params, rng)
     diag = [shuffled.V if i == b else random_grs(q, L, D, rng) for i in range(n)]
 
@@ -407,57 +421,26 @@ def build_query(
             planted = sorted(rng.sample(range(t + m), t + 1))
             k_idx = tuple(j for j in planted if j < t)
             l_idx = tuple(j for j in planted if j >= t)
-            template = [[0] * ((t + m) * S) for _ in range(L)]
-            for u, j in enumerate(planted):
-                for row in range(L):
-                    for v in range(S):
-                        template[row][j * S + v] = shuffled.V.data[row][u * S + v]
-            plantedset = set(planted)
-            free = [
-                j * S + v
-                for j in range(t + m)
-                if j not in plantedset
-                for v in range(S)
-            ]
-            c_matrix = mds_complete(FqMatrix(q, template), free, rng)
+            if grs is None:
+                c_matrix = shuffled.V
+            else:
+                positions = [j * S + v for j in planted for v in range(S)]
+                c_matrix = grs_extend(shuffled.V, points, mults, positions, D + R, rng)
             c, alpha = solve_alignment(q, t, m, k_idx, l_idx, omega, rng)
         else:
-            c_matrix = random_grs(q, L, D + params.R, rng)
+            c_matrix = random_grs(q, L, D + R, rng)
             alpha = tuple(rng.randrange(1, q) for _ in range(t + m))
         trailing = _assemble_align_trailing(params, c_matrix, omega, alpha)
-    else:
-        R = params.R
-        if b == n:
-            lam = right_null_space(shuffled.V)
-            if lam.rows == 0:
-                h = tuple(sorted(rng.sample(range(D + R), D)))
-                trailing = random_grs(q, D + R, D + R, rng)
-            else:
-                trailing = None
-                for _ in range(_EMBED_TRIES):
-                    h = tuple(sorted(rng.sample(range(D + R), D)))
-                    template = [[0] * (D + R) for _ in range(lam.rows)]
-                    for j, col in enumerate(h):
-                        for row in range(lam.rows):
-                            template[row][col] = lam.data[row][j]
-                    hset = set(h)
-                    free = [j for j in range(D + R) if j not in hset]
-                    try:
-                        hmat = mds_complete(
-                            FqMatrix(q, template), free, rng, retry_cap=_EMBED_DRAWS
-                        )
-                    except CompletionFailed:
-                        continue
-                    trailing = generator_from_parity(hmat, D + R)
-                    break
-                if trailing is None:
-                    raise CompletionFailed(
-                        f"no MDS parity completion for any of {_EMBED_TRIES} "
-                        f"embedding supports; GF({q}) is likely too small for "
-                        f"D={D}, L={L}, R={R}"
-                    )
+    elif b == n:
+        h = tuple(sorted(rng.sample(range(D + R), D)))
+        if grs is None:
+            trailing = random_grs(q, D + R, D + R, rng)
         else:
-            trailing = random_grs(q, L + R, D + R, rng)
+            lam = right_null_space(shuffled.V)
+            hmat = grs_extend(lam, points, _dual_multipliers(q, points, mults), h, D + R, rng)
+            trailing = generator_from_parity(hmat, D + R)
+    else:
+        trailing = random_grs(q, L + R, D + R, rng)
 
     g_rows = [[0] * K for _ in range(params.answer_rows)]
     for i, blk in enumerate(diag):

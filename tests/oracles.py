@@ -45,6 +45,24 @@ def leibniz_det(rows: list[list[int]], q: int) -> int:
     return total % q
 
 
+def six_points_on_a_conic(cols: list[tuple[int, int, int]], q: int) -> bool:
+    """Whether six points of the projective plane lie on one conic.
+
+    A conic is a nonzero combination of the monomials x^2, y^2, z^2, xy, xz
+    and yz; it passes through all six points iff the 6 x 6 matrix of those
+    monomials evaluated at the points is singular.
+    """
+    rows = [[x * x, y * y, z * z, x * y, x * z, y * z] for x, y, z in cols]
+    return leibniz_det(rows, q) == 0
+
+
+# Coefficient matrix of an MDS [6, 3] code over GF(17) that is not GRS: the
+# first five columns lie on the conic y^2 = xz and the sixth, (1, 1, 5),
+# does not, while no three columns are collinear.  A [6, 3] code is GRS iff
+# its six columns lie on a common conic.
+NON_GRS_V_17 = ((1, 1, 1, 1, 1, 1), (0, 1, 2, 3, 4, 1), (0, 1, 4, 9, 16, 5))
+
+
 def naive_rank(rows: list[list[int]], q: int) -> int:
     """Rank as the largest r with some invertible r x r minor."""
     m = len(rows)

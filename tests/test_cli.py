@@ -13,6 +13,8 @@ from iplt.protocol import Demand
 from iplt.store import MessageStore, store_save
 from iplt.wire import fetch, serve
 
+from oracles import NON_GRS_V_17
+
 
 def run_cli(capsys, argv):
     """Invoke the CLI in-process and return (exit_code, stdout, stderr)."""
@@ -375,6 +377,20 @@ def test_fetch_rejects_dependent_coefficients(capsys, tmp_path):
     )
     assert rc == 2
     assert err == "error: NotMds: coefficient columns for messages 1, 3 are dependent\n"
+
+
+def test_fetch_rejects_non_grs_coefficients(capsys, tmp_path):
+    """An MDS but non-GRS V that the trailing block would extend exits 2
+    with NotGrs named, before any network traffic."""
+    rows = "".join(" ".join(map(str, row)) + "\n" for row in NON_GRS_V_17)
+    dpath = write_demand(tmp_path, "W: 1 2 3 4 5 6\n" + rows)
+    rc, _, err = run_cli(
+        capsys,
+        ["fetch", "--addr", "127.0.0.1:1", "--demand", dpath,
+         "--K", "10", "--q", "17"],
+    )
+    assert rc == 2
+    assert err.startswith("error: NotGrs: ")
 
 
 @pytest.mark.parametrize(

@@ -11,14 +11,16 @@ from iplt import (
     DegenerateCauchy,
     FqMatrix,
     InconsistentSystem,
+    NotGrs,
     RankError,
     ShapeError,
     cauchy,
     generator_from_parity,
+    grs_extend,
     grs_generator,
+    grs_parameters,
     hstack,
     is_mds,
-    mds_complete,
     puncture,
     random_grs,
     rank,
@@ -28,7 +30,14 @@ from iplt import (
     vstack,
 )
 
-from oracles import leibniz_det, naive_is_mds, naive_matmul, naive_rank
+from oracles import (
+    NON_GRS_V_17,
+    leibniz_det,
+    naive_is_mds,
+    naive_matmul,
+    naive_rank,
+    six_points_on_a_conic,
+)
 
 Q = 17
 
@@ -298,91 +307,156 @@ def test_random_grs_deterministic_and_mds():
         assert is_mds(random_grs(Q, 3, 6, random.Random(seed)))
 
 
-# -- pinned-column completion -------------------------------------------------
+# -- GRS parameters and extension ----------------------------------------------
 
 
-def test_mds_complete_preserves_fixed_and_is_mds():
-    """Fixed columns survive bit-identical and the result is MDS."""
+def same_row_space(a, b):
+    return rank(a) == rank(b) == rank(vstack([a, b]))
+
+
+def hidden_grs(q, k, n, rng, infinity=False):
+    """A GRS generator behind a random basis change and column shuffle.
+
+    With infinity set, one column is replaced by (0, ..., 0, c), the column
+    of the point at infinity.
+    """
+    rows = random_grs(q, k, n, rng).to_rows()
+    if infinity:
+        col, c = rng.randrange(n), rng.randrange(1, q)
+        for i in range(k):
+            rows[i][col] = c if i == k - 1 else 0
+    while True:
+        basis = FqMatrix.random(q, k, k, rng)
+        if rank(basis) == k:
+            break
+    idx = list(range(n))
+    rng.shuffle(idx)
+    return basis.mul(FqMatrix(q, rows, cols=n)).take_cols(idx)
+
+
+def check_parameters(g):
+    points, mults = grs_parameters(g)
+    assert len(set(points)) == g.cols and all(mults)
+    assert same_row_space(grs_generator(g.q, g.rows, g.cols, points, mults), g)
+    return points, mults
+
+
+@pytest.mark.parametrize("infinity", [False, True])
+def test_grs_parameters_recover_hidden_generators(infinity):
+    """Hidden GRS codes, with or without a point at infinity, are recovered
+    for L in {1, 2, 3, D-2, D-1, D}, and extend to the tight field q = D + R."""
+    rng = random.Random(12)
+    q, D = 11, 7
+    for L in (1, 2, 3, D - 2, D - 1, D):
+        for _ in range(3):
+            g = hidden_grs(q, L, D, rng, infinity)
+            points, mults = check_parameters(g)
+            pos = sorted(rng.sample(range(q), D))
+            done = grs_extend(g, points, mults, pos, q, rng)
+            assert done.take_cols(pos) == g
+            assert is_mds(done)
+
+
+def test_grs_parameters_every_length_up_to_q():
+    """Codes of every dimension and length n <= q are recovered, n = q included."""
+    rng = random.Random(3)
+    for q in (5, 7, 13):
+        for n in range(1, q + 1):
+            for k in range(n + 1):
+                check_parameters(hidden_grs(q, k, n, rng, infinity=k > 0 and (n + k) % 2 == 0))
+
+
+def test_grs_parameters_every_mds_code_with_small_k_or_redundancy():
+    """Every MDS code with k <= 2 or n - k <= 2 is GRS."""
+    rng = random.Random(8)
+    for n in range(3, 9):
+        for k in {1, 2, n - 2, n - 1}:
+            for _ in range(5):
+                g = FqMatrix.random(Q, k, n, rng)
+                while not is_mds(g):
+                    g = FqMatrix.random(Q, k, n, rng)
+                check_parameters(g)
+
+
+def test_grs_parameters_rejects_non_grs():
+    """An MDS code off a conic, codes with dependent columns or rows, and
+    codes longer than q raise NotGrs."""
+    v = mat(NON_GRS_V_17)
+    assert is_mds(v) and naive_is_mds(v.to_rows(), Q)
+    assert not six_points_on_a_conic([v.column(j) for j in range(6)], Q)
+    with pytest.raises(NotGrs):
+        grs_parameters(v)
+    grs = random_grs(Q, 3, 6, random.Random(2))
+    assert six_points_on_a_conic([grs.column(j) for j in range(6)], Q)
+    with pytest.raises(NotGrs):
+        grs_parameters(mat([[1, 0, 1], [0, 1, 0]]))
+    with pytest.raises(NotGrs):
+        grs_parameters(mat([[1, 2, 3], [2, 4, 5]]))
+    with pytest.raises(NotGrs):
+        grs_parameters(mat([[1, 2, 3], [2, 4, 6]]))
+    with pytest.raises(NotGrs):
+        grs_parameters(FqMatrix(5, [[1] * 6]))
+    assert issubclass(NotGrs, CompletionFailed)
+
+
+def test_grs_extend_small_shapes_against_leibniz_oracle():
+    """On the smallest shapes both MDS tests agree that extensions are MDS."""
+    rng = random.Random(6)
+    q = 7
+    for k, n, width in ((1, 1, 3), (1, 3, 4), (2, 2, 5), (2, 3, 5), (2, 4, 7), (3, 4, 6), (3, 5, 7)):
+        for _ in range(3):
+            g = hidden_grs(q, k, n, rng)
+            assert is_mds(g) and naive_is_mds(g.to_rows(), q)
+            points, mults = check_parameters(g)
+            pos = sorted(rng.sample(range(width), n))
+            done = grs_extend(g, points, mults, pos, width, rng)
+            assert done.take_cols(pos) == g
+            assert is_mds(done) and naive_is_mds(done.to_rows(), q)
+
+
+def test_grs_extend_preserves_pinned_and_is_mds():
+    """Pinned columns survive bit-identical and the result is MDS."""
     rng = random.Random(1)
     base = random_grs(Q, 2, 4, rng)
-    template = hstack([base, FqMatrix.zeros(Q, 2, 3)])
-    done = mds_complete(template, [4, 5, 6], rng)
+    done = grs_extend(base, *grs_parameters(base), range(4), 7, rng)
     assert done.take_cols(range(4)) == base
     assert is_mds(done)
+    assert grs_extend(base, *grs_parameters(base), range(4), 4, rng) == base
 
 
-def test_mds_complete_no_free_columns_is_identity_op():
-    """An empty free set returns the template unchanged."""
-    m = mat([[1, 2], [3, 4]])
-    assert mds_complete(m, [], random.Random(0)) is m
-
-
-def test_mds_complete_all_free():
-    """With every column free the result is simply a random MDS matrix."""
-    template = FqMatrix.zeros(Q, 3, 6)
-    done = mds_complete(template, range(6), random.Random(4))
-    assert is_mds(done)
-
-
-def test_mds_complete_single_row():
-    """A 1-row completion just avoids zeros."""
-    template = FqMatrix(Q, [[5, 0, 0]])
-    done = mds_complete(template, [1, 2], random.Random(0))
-    assert done.data[0][0] == 5
-    assert all(v != 0 for v in done.data[0])
-
-
-def test_mds_complete_rejects_bad_columns():
-    """Out-of-range free columns raise ShapeError."""
-    with pytest.raises(ShapeError):
-        mds_complete(mat([[1, 2]]), [2], random.Random(0))
-
-
-def test_mds_complete_budget_exhaustion():
-    """An impossible template exhausts its draw budget with CompletionFailed."""
-    template = FqMatrix(2, [[1, 0, 0, 0], [0, 1, 0, 0]])
-    with pytest.raises(CompletionFailed):
-        mds_complete(template, [2, 3], random.Random(0), retry_cap=50)
-
-
-def test_mds_complete_dependent_fixed_columns():
-    """A dependent pinned column pair is reported, not retried forever."""
-    template = mat([[1, 2, 0], [2, 4, 0], [3, 6, 0]])
-    with pytest.raises(CompletionFailed):
-        mds_complete(template, [2], random.Random(0), retry_cap=500)
-
-
-def test_mds_complete_success_rate_on_wide_template():
-    """At least 990 of 1000 seeded fills succeed on a 2 x 15 template."""
+def test_grs_extend_fills_wide_template_at_every_seed():
+    """All 1000 seeded extensions of a 2 x 9 code to width 15 succeed and are MDS."""
     base = grs_generator(Q, 2, 9, range(1, 10), [1] * 9)
-    template = hstack([base, FqMatrix.zeros(Q, 2, 6)])
-    free = list(range(9, 15))
-    ok = 0
+    points, mults = grs_parameters(base)
     for seed in range(1000):
-        try:
-            done = mds_complete(template, free, random.Random(seed))
-        except CompletionFailed:
-            continue
+        done = grs_extend(base, points, mults, range(9), 15, random.Random(seed))
         assert done.take_cols(range(9)) == base
-        ok += 1
-    assert ok >= 990
-    for seed in (0, 1, 2):
-        assert is_mds(mds_complete(template, free, random.Random(seed)))
+        assert is_mds(done)
 
 
-def test_mds_complete_value_pinned_null_space_shape():
-    """The embedding-case shape (5 rows, 7 pinned of 10) completes and stays MDS."""
+def test_grs_extend_embedding_shape():
+    """The embedding-case shape (5 rows, 7 pinned of 10) extends and stays MDS."""
     rng = random.Random(20)
     lam = random_grs(Q, 5, 7, rng)
     cols = [0, 2, 3, 5, 6, 7, 9]
-    rows = [[0] * 10 for _ in range(5)]
-    for j, col in enumerate(cols):
-        for i in range(5):
-            rows[i][col] = lam.data[i][j]
-    template = FqMatrix(Q, rows)
-    done = mds_complete(template, [1, 4, 8], rng, retry_cap=200_000)
+    done = grs_extend(lam, *grs_parameters(lam), cols, 10, rng)
     assert done.take_cols(cols) == lam
     assert is_mds(done)
+
+
+def test_grs_extend_rejections():
+    """Bad positions raise ShapeError, a width beyond q BadGrsParameters, and
+    parameters of another code NotGrs."""
+    base = random_grs(Q, 2, 4, random.Random(4))
+    points, mults = grs_parameters(base)
+    for positions in ([0, 1, 2], [0, 1, 2, 2], [0, 1, 2, 7]):
+        with pytest.raises(ShapeError):
+            grs_extend(base, points, mults, positions, 7, random.Random(0))
+    with pytest.raises(BadGrsParameters):
+        grs_extend(base, points, mults, range(4), Q + 1, random.Random(0))
+    other = random_grs(Q, 2, 4, random.Random(5))
+    with pytest.raises(NotGrs):
+        grs_extend(other, points, mults, range(4), 7, random.Random(0))
 
 
 # -- generator from parity -----------------------------------------------------

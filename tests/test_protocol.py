@@ -13,6 +13,7 @@ from iplt import (
     Demand,
     FieldTooSmall,
     FqMatrix,
+    NotGrs,
     NotMds,
     NotPrime,
     Query,
@@ -21,6 +22,7 @@ from iplt import (
     achieved_rate,
     alignment_coefficients,
     answer,
+    audit_individual_privacy,
     build_query,
     capacity_lower,
     cauchy,
@@ -33,6 +35,8 @@ from iplt import (
     shuffle_demand,
     solve_alignment,
 )
+
+from oracles import NON_GRS_V_17
 
 Q = 17
 
@@ -255,6 +259,63 @@ def test_build_query_validation():
         build_query(bad_l, params, rng)
     with pytest.raises(BadShape):
         build_query(Demand((0, 1, 2, 3, 12), good.V), params, rng)
+
+
+def test_build_query_rejects_non_grs_demand_up_front():
+    """A non-GRS V raises NotGrs at every seed before any rng draw whenever
+    a trailing plant would extend it (R > 0 and L < D), in both cases."""
+    v = FqMatrix(Q, NON_GRS_V_17)
+    demand = Demand(range(6), v)
+    for K in (15, 16):
+        params = derive_params(K, 6, 3, Q)
+        assert params.R and params.n == 1
+        for seed in range(20):
+            rng = random.Random(seed)
+            state = rng.getstate()
+            with pytest.raises(NotGrs):
+                build_query(demand, params, rng)
+            assert rng.getstate() == state
+    assert {derive_params(K, 6, 3, Q).case for K in (15, 16)} == {"AlignS", "ParityEmbed"}
+    params = derive_params(12, 6, 3, Q)
+    for seed in range(4):
+        rng = random.Random(seed)
+        query, secret = build_query(demand, params, rng)
+        x = FqMatrix.random(Q, 12, 1, rng)
+        assert recover(answer(query, x), secret, params, demand) == demand.value(x)
+
+
+# Shapes with K < 2D: n = 0, so every query plants on the trailing block.
+# q is 17 and the smallest prime >= D + R = K, which is K itself, the
+# tightest field the extension fits in, whenever K is prime.
+GRS_GRID = [
+    (K, D, L, q)
+    for D in range(2, 8)
+    for K in range(D + 1, 2 * D)
+    for L in range(1, D)
+    for q in sorted({_prime_at_least(K), 17})
+]
+
+
+def test_trailing_plants_never_fail_on_grs_demands():
+    """Every GRS demand on the K < 2D grid builds, recovers exactly and
+    passes the privacy audit, in both cases and at q = D + R."""
+    cases = set()
+    tight = 0
+    for K, D, L, q in GRS_GRID:
+        params = derive_params(K, D, L, q)
+        assert params.n == 0
+        cases.add(params.case)
+        tight += q == K
+        for seed in range(2):
+            rng = random.Random(seed)
+            demand = Demand.random(params, rng)
+            query, secret = build_query(demand, params, rng)
+            assert secret.b == params.n
+            x = FqMatrix.random(q, K, 1, rng)
+            assert recover(answer(query, x), secret, params, demand) == demand.value(x)
+            assert audit_individual_privacy(query, params, demand).ok
+    assert cases == {"AlignS", "ParityEmbed"}
+    assert tight
 
 
 def test_build_query_deterministic():
