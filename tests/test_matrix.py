@@ -414,17 +414,51 @@ def test_grs_extend_small_shapes_against_leibniz_oracle():
             assert is_mds(done) and naive_is_mds(done.to_rows(), q)
 
 
-def test_grs_extend_preserves_pinned_and_is_mds():
+# -- pinned-column MDS completion by GRS extension ------------------------------
+
+
+def test_mds_complete_preserves_fixed_and_is_mds():
     """Pinned columns survive bit-identical and the result is MDS."""
     rng = random.Random(1)
     base = random_grs(Q, 2, 4, rng)
     done = grs_extend(base, *grs_parameters(base), range(4), 7, rng)
     assert done.take_cols(range(4)) == base
     assert is_mds(done)
+
+
+def test_mds_complete_no_free_columns_is_identity_op():
+    """With every column pinned the extension returns g unchanged."""
+    rng = random.Random(1)
+    base = random_grs(Q, 2, 4, rng)
     assert grs_extend(base, *grs_parameters(base), range(4), 4, rng) == base
 
 
-def test_grs_extend_fills_wide_template_at_every_seed():
+def test_mds_complete_single_row():
+    """A 1-row extension keeps its pinned entry and avoids zeros."""
+    g = FqMatrix(Q, [[5]])
+    done = grs_extend(g, *grs_parameters(g), [0], 3, random.Random(0))
+    assert done.data[0][0] == 5
+    assert all(v != 0 for v in done.data[0])
+
+
+def test_mds_complete_rejects_bad_columns():
+    """Short, repeated or out-of-range positions raise ShapeError."""
+    base = random_grs(Q, 2, 4, random.Random(4))
+    points, mults = grs_parameters(base)
+    for positions in ([0, 1, 2], [0, 1, 2, 2], [0, 1, 2, 7]):
+        with pytest.raises(ShapeError):
+            grs_extend(base, points, mults, positions, 7, random.Random(0))
+
+
+def test_mds_complete_dependent_fixed_columns():
+    """A dependent pinned column pair is reported as CompletionFailed."""
+    with pytest.raises(CompletionFailed):
+        grs_parameters(mat([[1, 2], [2, 4], [3, 6]]))
+    with pytest.raises(CompletionFailed):
+        grs_parameters(mat([[1, 2, 5], [2, 4, 1]]))
+
+
+def test_mds_complete_success_rate_on_wide_template():
     """All 1000 seeded extensions of a 2 x 9 code to width 15 succeed and are MDS."""
     base = grs_generator(Q, 2, 9, range(1, 10), [1] * 9)
     points, mults = grs_parameters(base)
@@ -434,7 +468,7 @@ def test_grs_extend_fills_wide_template_at_every_seed():
         assert is_mds(done)
 
 
-def test_grs_extend_embedding_shape():
+def test_mds_complete_value_pinned_null_space_shape():
     """The embedding-case shape (5 rows, 7 pinned of 10) extends and stays MDS."""
     rng = random.Random(20)
     lam = random_grs(Q, 5, 7, rng)
@@ -445,13 +479,10 @@ def test_grs_extend_embedding_shape():
 
 
 def test_grs_extend_rejections():
-    """Bad positions raise ShapeError, a width beyond q BadGrsParameters, and
-    parameters of another code NotGrs."""
+    """A width beyond q raises BadGrsParameters, and parameters of another
+    code NotGrs."""
     base = random_grs(Q, 2, 4, random.Random(4))
     points, mults = grs_parameters(base)
-    for positions in ([0, 1, 2], [0, 1, 2, 2], [0, 1, 2, 7]):
-        with pytest.raises(ShapeError):
-            grs_extend(base, points, mults, positions, 7, random.Random(0))
     with pytest.raises(BadGrsParameters):
         grs_extend(base, points, mults, range(4), Q + 1, random.Random(0))
     other = random_grs(Q, 2, 4, random.Random(5))
