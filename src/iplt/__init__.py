@@ -10,6 +10,7 @@ a TCP query/answer protocol.
 
 from .errors import (
     AlignmentSingular,
+    BadEndpoint,
     BadGrsParameters,
     BadMagic,
     BadShape,
@@ -19,13 +20,11 @@ from .errors import (
     FieldTooSmall,
     FrameTooLarge,
     InconsistentSystem,
-    InversionOfZero,
     IpltError,
     MalformedPayload,
     NotGrs,
     NotMds,
     NotPrime,
-    RankError,
     RecoveryInconsistent,
     RemoteError,
     ShapeError,
@@ -33,23 +32,19 @@ from .errors import (
     TruncatedFile,
     VersionUnsupported,
 )
-from .field import PrimeField, is_prime
+from .field import check_field, is_prime
 from .matrix import (
     FqMatrix,
     cauchy,
-    generator_from_parity,
     grs_extend,
     grs_generator,
     grs_parameters,
     hstack,
     is_mds,
-    puncture,
     random_grs,
     rank,
-    rref,
     right_null_space,
     solve,
-    vstack,
 )
 from .protocol import (
     ALIGN_S,
@@ -92,8 +87,6 @@ from .audit import (
     alignment_feasibility_sweep,
     audit_individual_privacy,
     candidate_supports,
-    kl_feasible,
-    posterior,
     shortening_feasibility_sweep,
 )
 from .store import MessageStore, store_load, store_save
@@ -113,101 +106,3 @@ from .wire import (
 from .fixtures import ExampleFixture, example_fixture
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "ALIGN_S",
-    "AlignmentSingular",
-    "Answer",
-    "AnswerServer",
-    "BadGrsParameters",
-    "BadMagic",
-    "BadShape",
-    "ClientSecret",
-    "CompletionFailed",
-    "DegenerateCauchy",
-    "Demand",
-    "EntryOutOfRange",
-    "ExampleFixture",
-    "FeasibilityReport",
-    "FieldTooSmall",
-    "FqMatrix",
-    "FrameTooLarge",
-    "InconsistentSystem",
-    "InversionOfZero",
-    "IpltError",
-    "MalformedPayload",
-    "MessageStore",
-    "NotGrs",
-    "NotMds",
-    "NotPrime",
-    "PARITY_EMBED",
-    "PrimeField",
-    "PrivacyReport",
-    "ProtocolParams",
-    "Query",
-    "RankError",
-    "RateBounds",
-    "RecoveryInconsistent",
-    "RemoteError",
-    "ShapeError",
-    "SupportCandidate",
-    "SweepRow",
-    "SweepSkip",
-    "TooLarge",
-    "TruncatedFile",
-    "VersionUnsupported",
-    "achieved_rate",
-    "alignment_coefficients",
-    "alignment_feasibility_sweep",
-    "answer",
-    "audit_individual_privacy",
-    "build_query",
-    "candidate_supports",
-    "capacity_exact",
-    "capacity_lower",
-    "capacity_upper",
-    "cauchy",
-    "composed_generator",
-    "decimal6",
-    "decode_answer",
-    "decode_query",
-    "demand_positions",
-    "derive_params",
-    "encode_answer",
-    "encode_query",
-    "example_fixture",
-    "fetch",
-    "generator_from_parity",
-    "grs_extend",
-    "grs_generator",
-    "grs_parameters",
-    "hstack",
-    "ilp_bruteforce",
-    "is_mds",
-    "is_prime",
-    "jplt_rate",
-    "kl_feasible",
-    "parse_endpoint",
-    "posterior",
-    "puncture",
-    "random_grs",
-    "rank",
-    "rate_bounds",
-    "recover",
-    "recv_frame",
-    "render_csv",
-    "rref",
-    "right_null_space",
-    "select_block",
-    "send_frame",
-    "serve",
-    "shortening_feasibility_sweep",
-    "shuffle_demand",
-    "solve",
-    "solve_alignment",
-    "store_load",
-    "store_save",
-    "sweep",
-    "to_debug_json",
-    "vstack",
-]

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import AlignmentSingular, BadShape, ShapeError
-from .matrix import FqMatrix, cauchy, is_mds, rank, right_null_space
+from .matrix import FqMatrix, cauchy, is_mds, right_null_space
 from .protocol import (
     ALIGN_S,
     PARITY_EMBED,
@@ -73,13 +73,6 @@ def candidate_supports(query: Query, params: ProtocolParams) -> list[SupportCand
             members = frozenset(inv[n * D + p] for p in sel)
             out.append(SupportCandidate(members, w))
     return out
-
-
-def posterior(candidates: Sequence[SupportCandidate], index: int) -> Fraction:
-    """Posterior probability that the given message index is demanded."""
-    return sum(
-        (c.weight for c in candidates if index in c.support), start=Fraction(0)
-    )
 
 
 @dataclass
@@ -178,35 +171,6 @@ def audit_individual_privacy(query, params: ProtocolParams, demand=None) -> Priv
         weight_total=weight_total, expected=expected, structure_errors=errors,
         posterior_violations=violations, true_support_found=true_found,
     )
-
-
-def kl_feasible(m: FqMatrix, w: Sequence[int], v: FqMatrix) -> bool:
-    """The (k, l)-feasibility predicate on a linear answer code.
-
-    True iff the rows of m that vanish outside the support w span, after
-    puncturing to w (taken in ascending order), exactly the row space of v.
-    m's columns are indexed by message; v must be L x |w| over the same
-    field.
-    """
-    if m.q != v.q:
-        raise ShapeError(f"field mismatch: GF({m.q}) vs GF({v.q})")
-    ws = sorted(set(int(i) for i in w))
-    if len(ws) != len(w):
-        raise BadShape("support indices must be distinct")
-    if not ws or ws[0] < 0 or ws[-1] >= m.cols:
-        raise BadShape(f"support must lie in [0, {m.cols})")
-    if v.cols != len(ws):
-        raise ShapeError(f"v has {v.cols} columns for a support of size {len(ws)}")
-    wset = set(ws)
-    comp = [j for j in range(m.cols) if j not in wset]
-    vanishing = right_null_space(m.take_cols(comp).transpose())
-    punctured = vanishing.mul(m).take_cols(ws)
-    rv = rank(v)
-    rp = rank(punctured)
-    if rv != rp:
-        return False
-    stacked = FqMatrix(m.q, list(v.data) + list(punctured.data), cols=len(ws))
-    return rank(stacked) == rv
 
 
 @dataclass

@@ -414,6 +414,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         ratio = Fraction(args.ratio)
     except (ValueError, ZeroDivisionError) as exc:
         raise BadShape(f"cannot parse ratio {args.ratio!r}: {exc}") from None
+    if args.dstep < 1:
+        raise BadShape(f"need --dstep >= 1, got {args.dstep}")
     d_values = range(args.dstep, args.K + 1, args.dstep)
     text = render_csv(sweep(args.K, ratio, d_values))
     if args.out == "-":

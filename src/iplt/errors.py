@@ -16,10 +16,6 @@ class NotPrime(IpltError):
     """The requested field modulus is not a prime number."""
 
 
-class InversionOfZero(IpltError):
-    """Multiplicative inverse of zero was requested."""
-
-
 # --- matrix --------------------------------------------------------------
 
 
@@ -46,10 +42,6 @@ class NotGrs(CompletionFailed):
     evaluation points, so a demand whose coefficient matrix is MDS but not
     GRS cannot be planted on it.
     """
-
-
-class RankError(IpltError):
-    """A matrix that must have full row rank does not."""
 
 
 class InconsistentSystem(IpltError):
@@ -118,3 +110,11 @@ class FrameTooLarge(IpltError):
 
 class RemoteError(IpltError):
     """The server answered with an error frame."""
+
+
+class BadEndpoint(IpltError, ValueError):
+    """An endpoint is not host:port with a port in 0..65535.
+
+    It is also a ValueError, so callers that catch ValueError for a bad
+    endpoint keep working.
+    """

@@ -1,15 +1,12 @@
-"""Exact arithmetic in the prime field GF(q).
+"""Validation of prime field orders.
 
-Field elements are plain Python ints in the range [0, q).  A PrimeField
-instance carries the modulus and provides the arithmetic; it never wraps
-elements in objects, so matrix code stays allocation-light.
+Field elements are plain Python ints in the range [0, q); the arithmetic is
+inlined where it is used, so this module only decides which q are allowed.
 """
 
 from __future__ import annotations
 
-import random
-
-from .errors import InversionOfZero, NotPrime
+from .errors import NotPrime
 
 
 def is_prime(n: int) -> bool:
@@ -28,63 +25,9 @@ def is_prime(n: int) -> bool:
     return True
 
 
-class PrimeField:
-    """The prime field GF(q) with elements represented as ints in [0, q)."""
-
-    __slots__ = ("q",)
-
-    def __init__(self, q: int):
-        if isinstance(q, int) and q > 2**31:
-            raise NotPrime(f"field order must be at most 2^31, got {q}")
-        if not isinstance(q, int) or not is_prime(q):
-            raise NotPrime(f"field order must be prime, got {q!r}")
-        self.q = q
-
-    def element(self, v: int) -> int:
-        """Reduce an arbitrary int into [0, q)."""
-        return v % self.q
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.q
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.q
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.q
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.q
-
-    def inv(self, a: int) -> int:
-        """Multiplicative inverse via Fermat's little theorem."""
-        a %= self.q
-        if a == 0:
-            raise InversionOfZero(f"zero has no inverse in GF({self.q})")
-        return pow(a, self.q - 2, self.q)
-
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
-    def pow(self, a: int, e: int) -> int:
-        """Raise a to a nonnegative power."""
-        if e < 0:
-            raise ValueError("exponent must be nonnegative; use inv for negatives")
-        return pow(a % self.q, e, self.q)
-
-    def rand(self, rng: random.Random) -> int:
-        """Uniform element of [0, q)."""
-        return rng.randrange(self.q)
-
-    def rand_nonzero(self, rng: random.Random) -> int:
-        """Uniform element of [1, q)."""
-        return rng.randrange(1, self.q)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, PrimeField) and other.q == self.q
-
-    def __hash__(self) -> int:
-        return hash(("PrimeField", self.q))
-
-    def __repr__(self) -> str:
-        return f"PrimeField({self.q})"
+def check_field(q: int) -> None:
+    """Raise NotPrime unless q is an int prime of at most 2^31."""
+    if isinstance(q, int) and q > 2**31:
+        raise NotPrime(f"field order must be at most 2^31, got {q}")
+    if not isinstance(q, int) or not is_prime(q):
+        raise NotPrime(f"field order must be prime, got {q!r}")

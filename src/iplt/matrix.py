@@ -4,8 +4,7 @@ Matrices are immutable, row-major tuples of tuples of ints reduced mod q.
 Everything is computed exactly with integer arithmetic; no floats anywhere.
 Structured constructions used by the protocol live here too: Cauchy blocks,
 generalized Reed-Solomon (GRS) generators, recovery of a GRS code's points
-and multipliers, GRS extension around pinned columns, and
-generator-from-parity via null spaces.
+and multipliers, and GRS extension around pinned columns.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ from .errors import (
     DegenerateCauchy,
     InconsistentSystem,
     NotGrs,
-    RankError,
     ShapeError,
 )
 
@@ -56,10 +54,6 @@ class FqMatrix:
         return cls(q, [[0] * cols for _ in range(rows)], cols=cols)
 
     @classmethod
-    def identity(cls, q: int, n: int) -> "FqMatrix":
-        return cls(q, [[1 if i == j else 0 for j in range(n)] for i in range(n)], cols=n)
-
-    @classmethod
     def random(cls, q: int, rows: int, cols: int, rng: random.Random) -> "FqMatrix":
         return cls(q, [[rng.randrange(q) for _ in range(cols)] for _ in range(rows)], cols=cols)
 
@@ -91,39 +85,9 @@ class FqMatrix:
 
     # -- arithmetic ----------------------------------------------------------
 
-    def _check_same_field(self, other: "FqMatrix") -> None:
+    def mul(self, other: "FqMatrix") -> "FqMatrix":
         if self.q != other.q:
             raise ShapeError(f"field mismatch: GF({self.q}) vs GF({other.q})")
-
-    def add(self, other: "FqMatrix") -> "FqMatrix":
-        self._check_same_field(other)
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ShapeError("addition shape mismatch")
-        q = self.q
-        return FqMatrix(
-            q,
-            [[(a + b) % q for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)],
-            cols=self.cols,
-        )
-
-    def sub(self, other: "FqMatrix") -> "FqMatrix":
-        self._check_same_field(other)
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ShapeError("subtraction shape mismatch")
-        q = self.q
-        return FqMatrix(
-            q,
-            [[(a - b) % q for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)],
-            cols=self.cols,
-        )
-
-    def scale(self, s: int) -> "FqMatrix":
-        q = self.q
-        s %= q
-        return FqMatrix(q, [[(s * v) % q for v in row] for row in self.data], cols=self.cols)
-
-    def mul(self, other: "FqMatrix") -> "FqMatrix":
-        self._check_same_field(other)
         if self.cols != other.rows:
             raise ShapeError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
         q = self.q
@@ -147,19 +111,6 @@ class FqMatrix:
         return FqMatrix(self.q, [[row[j] for j in idx] for row in self.data], cols=len(idx))
 
 
-def vstack(mats: Sequence[FqMatrix]) -> FqMatrix:
-    """Stack matrices vertically; all must share q and column count."""
-    if not mats:
-        raise ShapeError("vstack of nothing")
-    q, cols = mats[0].q, mats[0].cols
-    rows: list[tuple[int, ...]] = []
-    for m in mats:
-        if m.q != q or m.cols != cols:
-            raise ShapeError("vstack mismatch")
-        rows.extend(m.data)
-    return FqMatrix(q, rows, cols=cols)
-
-
 def hstack(mats: Sequence[FqMatrix]) -> FqMatrix:
     """Stack matrices horizontally; all must share q and row count."""
     if not mats:
@@ -170,16 +121,6 @@ def hstack(mats: Sequence[FqMatrix]) -> FqMatrix:
             raise ShapeError("hstack mismatch")
     rows = [sum((m.data[i] for m in mats), ()) for i in range(nrows)]
     return FqMatrix(q, rows, cols=sum(m.cols for m in mats))
-
-
-def puncture(m: FqMatrix, cols: Iterable[int]) -> FqMatrix:
-    """Delete the given columns; survivors keep their relative order."""
-    drop = set(cols)
-    for c in drop:
-        if not 0 <= c < m.cols:
-            raise IndexError(f"column {c} out of range for {m.cols} columns")
-    keep = [j for j in range(m.cols) if j not in drop]
-    return m.take_cols(keep)
 
 
 # -- elimination -----------------------------------------------------------
@@ -208,12 +149,6 @@ def _rref(rows: list[list[int]], q: int) -> tuple[list[list[int]], list[int]]:
         pivots.append(c)
         pr += 1
     return rows, pivots
-
-
-def rref(m: FqMatrix) -> FqMatrix:
-    """Reduced row echelon form (zero rows kept at the bottom)."""
-    rows, _ = _rref(m.to_rows(), m.q)
-    return FqMatrix(m.q, rows, cols=m.cols)
 
 
 def rank(m: FqMatrix) -> int:
@@ -468,18 +403,3 @@ def grs_extend(
     except InconsistentSystem:
         raise NotGrs("g is not in the row space of the given GRS parameters") from None
     return t.mul(ext)
-
-
-def generator_from_parity(h: FqMatrix, n: int) -> FqMatrix:
-    """Generator matrix of the code with parity-check matrix h.
-
-    h must be (n-k) x n with full row rank; the result G is k x n with full
-    row rank and G @ h^T = 0.  A 0-row h yields the identity.
-    """
-    if h.cols != n:
-        raise ShapeError(f"parity check has {h.cols} columns, expected {n}")
-    if h.rows == 0:
-        return FqMatrix.identity(h.q, n)
-    if rank(h) != h.rows:
-        raise RankError("parity-check matrix must have full row rank")
-    return right_null_space(h)

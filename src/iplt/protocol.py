@@ -40,11 +40,10 @@ from .errors import (
     RecoveryInconsistent,
     ShapeError,
 )
-from .field import PrimeField
+from .field import check_field
 from .matrix import (
     FqMatrix,
     cauchy,
-    generator_from_parity,
     grs_extend,
     grs_parameters,
     is_mds,
@@ -93,7 +92,7 @@ def derive_params(K: int, D: int, L: int, q: int, N: int = 1) -> ProtocolParams:
         raise BadShape(f"need 1 <= L <= D <= K, got L={L} D={D} K={K}")
     if N < 1:
         raise BadShape(f"need N >= 1, got N={N}")
-    PrimeField(q)
+    check_field(q)
     R = K % D
     S = math.gcd(D + R, R) if R else D
     if q < D + R:
@@ -438,7 +437,7 @@ def build_query(
         else:
             lam = right_null_space(shuffled.V)
             hmat = grs_extend(lam, points, _dual_multipliers(q, points, mults), h, D + R, rng)
-            trailing = generator_from_parity(hmat, D + R)
+            trailing = right_null_space(hmat)
     else:
         trailing = random_grs(q, L + R, D + R, rng)
 

@@ -20,7 +20,7 @@ from .errors import (
     TruncatedFile,
     VersionUnsupported,
 )
-from .field import PrimeField
+from .field import check_field
 from .matrix import FqMatrix
 
 MAGIC = b"PLTS"
@@ -38,7 +38,7 @@ class MessageStore:
     X: FqMatrix
 
     def __post_init__(self):
-        PrimeField(self.q)
+        check_field(self.q)
         if self.X.q != self.q:
             raise ShapeError(f"matrix over GF({self.X.q}), store declares GF({self.q})")
         if self.X.rows != self.K or self.X.cols != self.N:

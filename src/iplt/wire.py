@@ -20,6 +20,7 @@ import threading
 
 from . import errors as _errors
 from .errors import (
+    BadEndpoint,
     FrameTooLarge,
     IpltError,
     MalformedPayload,
@@ -124,35 +125,16 @@ def decode_answer(payload: bytes, q: int) -> Answer:
     return Answer(Y=FqMatrix(q, y_rows, cols=n))
 
 
-def to_debug_json(obj) -> str:
-    """Human-inspectable JSON rendering; the binary format is the contract."""
-    if isinstance(obj, Query):
-        doc = {
-            "kind": "query",
-            "q": obj.G.q,
-            "K": len(obj.pi),
-            "rows": obj.G.rows,
-            "G": [list(r) for r in obj.G.data],
-            "pi": list(obj.pi),
-        }
-    elif isinstance(obj, Answer):
-        doc = {
-            "kind": "answer",
-            "q": obj.Y.q,
-            "rows": obj.Y.rows,
-            "N": obj.Y.cols,
-            "Y": [list(r) for r in obj.Y.data],
-        }
-    elif isinstance(obj, MessageStore):
-        doc = {
-            "kind": "store",
-            "q": obj.q,
-            "K": obj.K,
-            "N": obj.N,
-            "X": [list(r) for r in obj.X.data],
-        }
-    else:
-        raise TypeError(f"no debug encoding for {type(obj).__name__}")
+def to_debug_json(query: Query) -> str:
+    """Human-inspectable JSON rendering of a query; the binary format is the contract."""
+    doc = {
+        "kind": "query",
+        "q": query.G.q,
+        "K": len(query.pi),
+        "rows": query.G.rows,
+        "G": [list(r) for r in query.G.data],
+        "pi": list(query.pi),
+    }
     return json.dumps(doc, sort_keys=True)
 
 
@@ -193,8 +175,10 @@ def recv_frame(sock: socket.socket) -> tuple[int, bytes]:
 def parse_endpoint(endpoint: str) -> tuple[str, int]:
     """Split host:port; the host may be empty for all-interfaces binding."""
     host, sep, port = endpoint.rpartition(":")
-    if not sep or not port.isdigit():
-        raise ValueError(f"endpoint must be host:port, got {endpoint!r}")
+    if not sep or not port.isdecimal() or int(port) > 65535:
+        raise BadEndpoint(
+            f"endpoint must be host:port with a port in 0..65535, got {endpoint!r}"
+        )
     return host or "0.0.0.0", int(port)
 
 

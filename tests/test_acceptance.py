@@ -8,11 +8,8 @@ cannot be met must show up here as FAIL, never be weakened.
 
 The seeded samplers draw shapes from the stated grids but redraw shapes
 whose exhaustive checks would explode combinatorially (binomial minor
-counts) and embedding shapes whose pinned-column completion is intractable
-at the available field sizes; the expected-draw estimate used for the
-latter is documented at the sampler.  Both protocol cases and both demand
-placements (decoy block and trailing block) are asserted present in every
-sampled population.
+counts).  Both protocol cases and both demand placements (decoy block and
+trailing block) are asserted present in every sampled population.
 """
 
 import itertools
@@ -65,33 +62,12 @@ def _verdict(capfd, num: int, title: str, problems: list, elapsed: float) -> Non
     assert not problems, "; ".join(str(p) for p in problems[:10])
 
 
-def _completion_cost(D: int, L: int, R: int, q: int) -> float:
-    """Expected column draws to complete an embedded parity by rejection.
-
-    Each free column must avoid binomial(placed, rows-1) hyperplanes, each
-    with miss probability 1/q, so the acceptance density per column is
-    (1 - 1/q) ** count and the expected draws are the sum of its inverses.
-    """
-    rows = D - L
-    if rows <= 1 or R == 0:
-        return 0.0
-    total, placed = 0.0, D
-    for _ in range(R):
-        count = math.comb(placed, rows - 1)
-        if count * math.log(q / (q - 1)) > 12.0:
-            return float("inf")
-        total += (1.0 - 1.0 / q) ** (-count)
-        placed += 1
-    return total
-
-
 def _sample_shape(rng: random.Random, max_candidates=None):
     """One (K, D, L, q) from the grid 1 <= L <= D <= K <= 30, q in PRIMES.
 
-    Redraws shapes with no eligible prime (q >= D + R required), embedding
-    shapes whose parity completion is intractable at every eligible prime,
-    and, when max_candidates is set, shapes whose exhaustive candidate
-    enumeration would exceed it.
+    Redraws shapes with no eligible prime (q >= D + R required) and, when
+    max_candidates is set, shapes whose exhaustive candidate enumeration
+    would exceed it.
     """
     while True:
         K = rng.randrange(1, 31)
@@ -103,9 +79,6 @@ def _sample_shape(rng: random.Random, max_candidates=None):
             continue
         S = gcd(D, R) if R else D
         if L > S:
-            eligible = [p for p in eligible if _completion_cost(D, L, R, p) <= 20000.0]
-            if not eligible:
-                continue
             count = K // D - 1 + math.comb(D + R, D)
         else:
             count = K // D - 1 + math.comb((D + R) // S, D // S)

@@ -14,11 +14,8 @@ from iplt import (
     alignment_feasibility_sweep,
     audit_individual_privacy,
     candidate_supports,
-    composed_generator,
     derive_params,
     example_fixture,
-    kl_feasible,
-    posterior,
     shortening_feasibility_sweep,
 )
 
@@ -64,12 +61,16 @@ def test_candidate_supports_rejects_non_bijection():
 
 
 def test_posterior_matches_oracle():
-    """The posterior helper agrees with a naive weighted sum."""
-    fx = example_fixture(2)
-    cands = candidate_supports(fx.query, fx.params)
-    pairs = [(c.support, c.weight) for c in cands]
-    for i in range(fx.params.K):
-        assert posterior(cands, i) == exact_posterior(pairs, i)
+    """The naive weighted-sum oracle gives D/K at every index on each pinned
+    query, and the audit agrees: no violations, expected posterior D/K."""
+    for which in (1, 2, 3):
+        fx = example_fixture(which)
+        K, D = fx.params.K, fx.params.D
+        pairs = [(c.support, c.weight) for c in candidate_supports(fx.query, fx.params)]
+        assert all(exact_posterior(pairs, i) == Fraction(D, K) for i in range(K))
+        report = audit_individual_privacy(fx.query, fx.params)
+        assert report.ok and report.posterior_violations == []
+        assert report.expected == Fraction(D, K)
 
 
 # -- privacy audit ----------------------------------------------------------------
@@ -169,49 +170,6 @@ def test_audit_random_queries_exact_posterior():
             report = audit_individual_privacy(query, params, demand)
             assert report.ok, report.summary()
             assert report.expected == Fraction(D, K)
-
-
-# -- feasibility predicate ---------------------------------------------------------
-
-
-def test_kl_feasible_on_fixture_answer_codes():
-    """The composed answer code is feasible for the true (W, V) demand."""
-    for which in (1, 2, 3):
-        fx = example_fixture(which)
-        comp = composed_generator(fx.query)
-        assert kl_feasible(comp, fx.demand.W, fx.demand.V)
-
-
-def test_kl_feasible_rejects_wrong_support():
-    """Shifting the support off the demand makes the predicate fail."""
-    fx = example_fixture(1)
-    comp = composed_generator(fx.query)
-    wrong = list(fx.demand.W)
-    spare = next(i for i in range(fx.params.K) if i not in set(wrong))
-    wrong[0] = spare
-    assert not kl_feasible(comp, wrong, fx.demand.V)
-
-
-def test_kl_feasible_rejects_wrong_span():
-    """The right support with a foreign coefficient space fails."""
-    fx = example_fixture(1)
-    comp = composed_generator(fx.query)
-    other = FqMatrix(Q, [[1] * 8, [1, 2, 3, 4, 5, 6, 7, 8]])
-    assert not kl_feasible(comp, fx.demand.W, other)
-
-
-def test_kl_feasible_validation():
-    """Field, support, and width mismatches raise the documented errors."""
-    fx = example_fixture(1)
-    comp = composed_generator(fx.query)
-    with pytest.raises(ShapeError):
-        kl_feasible(comp, fx.demand.W, FqMatrix(19, fx.demand.V.to_rows()))
-    with pytest.raises(BadShape):
-        kl_feasible(comp, (1, 1, 2, 3, 4, 5, 6, 7), fx.demand.V)
-    with pytest.raises(BadShape):
-        kl_feasible(comp, (0, 1, 2, 3, 4, 5, 6, 99), fx.demand.V)
-    with pytest.raises(ShapeError):
-        kl_feasible(comp, (0, 1, 2), fx.demand.V)
 
 
 # -- feasibility sweeps --------------------------------------------------------------

@@ -1,12 +1,15 @@
 """End-to-end tests for the command line interface."""
 
 import json
+import os
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import iplt
 from iplt.cli import main
 from iplt.matrix import FqMatrix
 from iplt.protocol import Demand
@@ -282,6 +285,17 @@ def test_sweep_rejects_unparseable_ratio(capsys):
     assert err.startswith("error: BadShape: cannot parse ratio 'abc'")
 
 
+@pytest.mark.parametrize("dstep", ["0", "-4"])
+def test_sweep_rejects_nonpositive_dstep(capsys, dstep):
+    """A step below 1 exits 2 with one BadShape line instead of a traceback."""
+    rc, out, err = run_cli(
+        capsys, ["sweep", "--K", "10", "--ratio", "1/2", "--dstep", dstep]
+    )
+    assert rc == 2
+    assert out == ""
+    assert err == f"error: BadShape: need --dstep >= 1, got {dstep}\n"
+
+
 # -- serve / fetch --------------------------------------------------------
 
 
@@ -439,15 +453,44 @@ def test_serve_missing_store_exits_two(capsys, tmp_path):
     assert err.startswith("error: ")
 
 
+BAD_ENDPOINT = "error: BadEndpoint: endpoint must be host:port with a port in 0..65535, got {!r}\n"
+
+
+@pytest.mark.parametrize("addr", ["nonsense", "127.0.0.1:99999", "127.0.0.1:x"])
+def test_serve_rejects_bad_endpoint(capsys, small_store, addr):
+    """A malformed address or a port above 65535 exits 2 with one error line."""
+    _, spath = small_store
+    rc, out, err = run_cli(capsys, ["serve", "--store", str(spath), "--addr", addr])
+    assert rc == 2
+    assert out == ""
+    assert err == BAD_ENDPOINT.format(addr)
+
+
+@pytest.mark.parametrize("addr", ["nonsense", "127.0.0.1:70000"])
+def test_fetch_rejects_bad_endpoint(capsys, tmp_path, addr):
+    """fetch names the bad address with exit 2 and sends nothing."""
+    dpath = write_demand(tmp_path, GOOD_DEMAND)
+    rc, out, err = run_cli(
+        capsys,
+        ["fetch", "--addr", addr, "--demand", dpath, "--K", "10", "--q", "17"],
+    )
+    assert rc == 2
+    assert out == ""
+    assert err == BAD_ENDPOINT.format(addr)
+
+
 def test_serve_subprocess_answers_fetch(small_store, tmp_path):
     """The serve subcommand binds, reports its endpoint, and answers queries."""
     store, spath = small_store
+    # The child imports the same iplt as this process, installed or not.
+    path = [str(Path(iplt.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
     proc = subprocess.Popen(
         [sys.executable, "-m", "iplt.cli", "serve",
          "--store", str(spath), "--addr", "127.0.0.1:0"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p)),
     )
     try:
         banner = proc.stdout.readline().strip()
