@@ -24,7 +24,9 @@ from .protocol import (
     PARITY_EMBED,
     ProtocolParams,
     Query,
+    aligned_combination,
     alignment_coefficients,
+    slot_columns,
 )
 
 
@@ -59,19 +61,11 @@ def candidate_supports(query: Query, params: ProtocolParams) -> list[SupportCand
     if params.case == ALIGN_S:
         t, m, S = params.t, params.m, params.S
         assert t is not None and m is not None
-        total = math.comb(t + m, t + 1)
-        w = Fraction(D + R, K * total)
-        for sel in itertools.combinations(range(t + m), t + 1):
-            members = frozenset(
-                inv[n * D + k * S + u] for k in sel for u in range(S)
-            )
-            out.append(SupportCandidate(members, w))
+        groups = [slot_columns(S, sel) for sel in itertools.combinations(range(t + m), t + 1)]
     else:
-        total = math.comb(D + R, D)
-        w = Fraction(D + R, K * total)
-        for sel in itertools.combinations(range(D + R), D):
-            members = frozenset(inv[n * D + p] for p in sel)
-            out.append(SupportCandidate(members, w))
+        groups = list(itertools.combinations(range(D + R), D))
+    w = Fraction(D + R, K * len(groups))
+    out += [SupportCandidate(frozenset(inv[n * D + p] for p in sel), w) for sel in groups]
     return out
 
 
@@ -221,29 +215,16 @@ def alignment_feasibility_sweep(
         except AlignmentSingular as exc:
             report.failures.append((sel, f"alignment: {exc}"))
             continue
-        combined = [[0] * trailing.cols for _ in range(L)]
-        for coef, l in zip(c, l_idx):
-            base = (l - t) * L
-            for u in range(L):
-                src = trailing.data[base + u]
-                dst = combined[u]
-                for col in range(trailing.cols):
-                    dst[col] = (dst[col] + coef * src[col]) % q
-        selset = set(sel)
-        support_bad = None
-        for blk in range(t + m):
-            nonzero = any(
-                combined[u][blk * S + v] for u in range(L) for v in range(S)
-            )
-            if nonzero != (blk in selset):
-                support_bad = blk
-                break
-        if support_bad is not None:
-            report.failures.append((sel, f"support mismatch at block {support_bad}"))
+        combined = aligned_combination(trailing, params, l_idx, c)
+        mismatched = [
+            blk
+            for blk in range(t + m)
+            if any(row[p] for row in combined.data for p in slot_columns(S, [blk])) != (blk in sel)
+        ]
+        if mismatched:
+            report.failures.append((sel, f"support mismatch at block {mismatched[0]}"))
             continue
-        keep = [blk * S + v for blk in sel for v in range(S)]
-        surviving = FqMatrix(q, [[row[j] for j in keep] for row in combined], cols=len(keep))
-        if not is_mds(surviving):
+        if not is_mds(combined.take_cols(slot_columns(S, sel))):
             report.failures.append((sel, "surviving block is not MDS"))
             continue
         report.feasible += 1

@@ -15,7 +15,8 @@ from typing import Optional, Sequence, Union
 from .errors import BadShape, TooLarge
 
 
-def _validate(K: int, D: int, L: int) -> None:
+def check_shape(K: int, D: int, L: int) -> None:
+    """Raise BadShape unless K, D, L are ints with 1 <= L <= D <= K."""
     for name, v in (("K", K), ("D", D), ("L", L)):
         if not isinstance(v, int):
             raise BadShape(f"{name} must be an int, got {type(v).__name__}")
@@ -23,19 +24,23 @@ def _validate(K: int, D: int, L: int) -> None:
         raise BadShape(f"need 1 <= L <= D <= K, got L={L} D={D} K={K}")
 
 
+def slot_width(D: int, R: int) -> int:
+    """S = gcd(D, R), the width of the AlignS slots; S = D when R = 0."""
+    return math.gcd(D + R, R) if R else D
+
+
 def capacity_upper(K: int, D: int, L: int) -> Fraction:
     """Upper bound on the rate: 1 / (floor(K/D) + min(1, R/L)), R = K mod D."""
-    _validate(K, D, L)
+    check_shape(K, D, L)
     R = K % D
     return Fraction(1) / (K // D + min(Fraction(1), Fraction(R, L)))
 
 
 def capacity_lower(K: int, D: int, L: int) -> Fraction:
     """Achievable rate: 1 / (floor(K/D) + min(R/S, R/L)), S = gcd(D, R)."""
-    _validate(K, D, L)
+    check_shape(K, D, L)
     R = K % D
-    S = math.gcd(D + R, R) if R else D
-    return Fraction(1) / (K // D + min(Fraction(R, S), Fraction(R, L)))
+    return Fraction(1) / (K // D + min(Fraction(R, slot_width(D, R)), Fraction(R, L)))
 
 
 def capacity_exact(K: int, D: int, L: int) -> Optional[Fraction]:
@@ -44,7 +49,7 @@ def capacity_exact(K: int, D: int, L: int) -> Optional[Fraction]:
     Returns None when the tightness condition fails.  D | K is the R = 0
     instance of the condition and yields D/K.
     """
-    _validate(K, D, L)
+    check_shape(K, D, L)
     R = K % D
     if R <= L or D % R == 0:
         return capacity_upper(K, D, L)
@@ -53,7 +58,7 @@ def capacity_exact(K: int, D: int, L: int) -> Optional[Fraction]:
 
 def jplt_rate(K: int, D: int, L: int) -> Fraction:
     """Optimal rate when the whole support must stay jointly private."""
-    _validate(K, D, L)
+    check_shape(K, D, L)
     return Fraction(L, K - D + L)
 
 
@@ -64,7 +69,7 @@ def ilp_bruteforce(K: int, D: int, L: int) -> int:
     summing to K with at least one part equal to D (the demand block).  The
     forced D-part costs L; the rest is a DP over the remaining mass.
     """
-    _validate(K, D, L)
+    check_shape(K, D, L)
     if K > 60:
         raise TooLarge(f"exhaustive ILP guard is K <= 60, got K={K}")
     rest = K - D

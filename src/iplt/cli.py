@@ -11,7 +11,6 @@ running server and recover the demanded combinations).
 from __future__ import annotations
 
 import argparse
-import itertools
 import math
 import os
 import random
@@ -24,22 +23,25 @@ from .audit import (
     audit_individual_privacy,
     shortening_feasibility_sweep,
 )
-from .bounds import decimal6, ilp_bruteforce, rate_bounds, render_csv, sweep
+from .bounds import capacity_upper, decimal6, ilp_bruteforce, rate_bounds, render_csv, sweep
 from .errors import BadShape, IpltError, NotMds
+from .field import check_field
 from .fixtures import ExampleFixture, example_fixture
-from .matrix import FqMatrix, cauchy, is_mds, rank, right_null_space, solve
+from .matrix import FqMatrix, cauchy, first_singular_minor, is_mds, rank, right_null_space
 from .protocol import (
     ALIGN_S,
     Demand,
     ProtocolParams,
-    Query,
     achieved_rate,
-    alignment_coefficients,
     answer,
     build_query,
     demand_positions,
     derive_params,
+    embedding_transform,
     recover,
+    slot_columns,
+    solve_alignment,
+    trailing_block,
 )
 from .store import MessageStore, store_load
 from .wire import fetch, serve, to_debug_json
@@ -57,14 +59,6 @@ def _print_params(params: ProtocolParams) -> None:
     print(
         f"params: K={params.K} D={params.D} L={params.L} q={params.q} "
         f"case={params.case} answer_rows={params.answer_rows}"
-    )
-
-
-def _trailing_block(query: Query, params: ProtocolParams) -> FqMatrix:
-    """The trailing generator block: last rows of G over the last D+R columns."""
-    g = query.G
-    return g.take_rows(range(params.n * params.L, g.rows)).take_cols(
-        range(params.n * params.D, g.cols)
     )
 
 
@@ -149,14 +143,12 @@ def _example_checks(fx: ExampleFixture) -> list[tuple[str, bool, str]]:
             "diagonal block b does not hold the shuffled coefficients",
         )
     elif params.case == ALIGN_S:
-        S = params.S
-        slots = list(secret.k_idx) + list(secret.l_idx)
-        ok = all(
-            secret.c_matrix.column(j * S + v) == shuffled.V.column(u * S + v)
-            for u, j in enumerate(slots)
-            for v in range(S)
+        slots = slot_columns(params.S, [*secret.k_idx, *secret.l_idx])
+        add(
+            "demand block",
+            secret.c_matrix.take_cols(slots) == shuffled.V,
+            "planted slots do not hold the shuffled coefficients",
         )
-        add("demand block", ok, "planted slots do not hold the shuffled coefficients")
 
     want_pos = demand_positions(
         params, secret.b, k_idx=secret.k_idx, l_idx=secret.l_idx, h=secret.h
@@ -184,41 +176,26 @@ def _example_checks(fx: ExampleFixture) -> list[tuple[str, bool, str]]:
         report.summary().replace("\n", "; "),
     )
 
-    trailing = _trailing_block(query, params)
+    trailing = trailing_block(query, params)
     if params.case == ALIGN_S:
         if "omega" in exp:
             omega = cauchy(q, secret.cauchy_x, secret.cauchy_y)
             add("cauchy table", omega == exp["omega"], "recomputed cauchy table differs")
-            c2 = alignment_coefficients(
-                q, params.t, secret.k_idx, secret.l_idx, omega
+            # Only the planted slots are pinned; the rng fills the others.
+            c2, alpha2 = solve_alignment(
+                q, params.t, params.m, secret.k_idx, secret.l_idx, omega, random.Random(0)
             )
             add(
                 "alignment coefficients",
                 c2 == exp["c"] and c2 == secret.c,
                 f"recomputed {c2}, pinned {exp['c']}",
             )
-            ok, detail = True, ""
-            for j, l in enumerate(secret.l_idx):
-                want = exp["planted_alpha"][l]
-                got = pow(secret.c[j], q - 2, q)
-                if got != want or secret.alpha[l] != want:
-                    ok, detail = False, f"slot {l}: got {got}, want {want}"
-                    break
-            if ok:
-                for ku in secret.k_idx:
-                    ssum = (
-                        sum(
-                            cj * omega.data[l - params.t][ku]
-                            for cj, l in zip(secret.c, secret.l_idx)
-                        )
-                        % q
-                    )
-                    want = exp["planted_alpha"][ku]
-                    got = pow(ssum, q - 2, q)
-                    if got != want or secret.alpha[ku] != want:
-                        ok, detail = False, f"slot {ku}: got {got}, want {want}"
-                        break
-            add("planted scalings", ok, detail)
+            bad = [
+                (j, alpha2[j], want)
+                for j, want in exp["planted_alpha"].items()
+                if alpha2[j] != want or secret.alpha[j] != want
+            ]
+            add("planted scalings", not bad, f"(slot, got, want): {bad}")
         if "trailing_coefs" in exp:
             ok, detail = _scaled_grid_matches(
                 trailing, secret.c_matrix, exp["trailing_coefs"], L, params.S, q
@@ -269,14 +246,8 @@ def _example_checks(fx: ExampleFixture) -> list[tuple[str, bool, str]]:
             and rank(trailing) == trailing.rows,
             "trailing generator is not a full-rank complement of the parity rows",
         )
-        width = D + params.R
-        u_rows = [[0] * width for _ in range(L)]
-        for j, col in enumerate(secret.h):
-            for row in range(L):
-                u_rows[row][col] = shuffled.V.data[row][j]
-        u_mat = FqMatrix(q, u_rows, cols=width)
+        u_mat, t_mat = embedding_transform(shuffled.V, secret.h, trailing)
         add("embedded demand", u_mat == exp["u_matrix"], "embedded coefficients differ")
-        t_mat = solve(trailing.transpose(), u_mat.transpose()).transpose()
         add(
             "recovery transform",
             t_mat == exp["t_matrix"] and t_mat.mul(trailing) == u_mat,
@@ -336,6 +307,10 @@ def cmd_demo(args: argparse.Namespace) -> int:
 
 
 def cmd_audit(args: argparse.Namespace) -> int:
+    if args.trials < 1:
+        raise BadShape(f"need --trials >= 1, got {args.trials}")
+    if args.max_enum < 0:
+        raise BadShape(f"need --max-enum >= 0, got {args.max_enum}")
     params = derive_params(args.K, args.D, args.L, args.q, args.N)
     rng = random.Random(_resolve_seed(args))
     _print_params(params)
@@ -357,7 +332,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
         else:
             failures.append(f"trial {trial}: " + report.summary().replace("\n", "; "))
         if do_sweep:
-            trailing = _trailing_block(query, params)
+            trailing = trailing_block(query, params)
             if params.case == ALIGN_S:
                 fs = alignment_feasibility_sweep(
                     trailing, params, secret.cauchy_x, secret.cauchy_y
@@ -392,15 +367,15 @@ def cmd_audit(args: argparse.Namespace) -> int:
 
 
 def cmd_ilp(args: argparse.Namespace) -> int:
+    if args.max_K < 1:
+        raise BadShape(f"need --max-K >= 1, got {args.max_K}")
     mismatches = 0
     count = 0
     for K in range(1, args.max_K + 1):
         for D in range(1, K + 1):
-            R = K % D
             for L in range(1, D + 1):
                 count += 1
-                closed = L * (K // D) + min(L, R)
-                if ilp_bruteforce(K, D, L) != closed:
+                if ilp_bruteforce(K, D, L) != L / capacity_upper(K, D, L):
                     mismatches += 1
     print(f"checked {count} triples up to K={args.max_K}: {mismatches} mismatches")
     return 0 if mismatches == 0 else 1
@@ -480,16 +455,12 @@ def _parse_demand(path: str, q: int) -> Demand:
     try:
         return Demand([i - 1 for i in w1], v)
     except NotMds:
-        for sub in itertools.combinations(range(v.cols), v.rows):
-            if rank(v.take_cols(list(sub))) < v.rows:
-                named = ", ".join(str(w1[j]) for j in sub)
-                raise NotMds(
-                    f"coefficient columns for messages {named} are dependent"
-                ) from None
-        raise
+        named = ", ".join(str(w1[j]) for j in first_singular_minor(v))
+        raise NotMds(f"coefficient columns for messages {named} are dependent") from None
 
 
 def cmd_fetch(args: argparse.Namespace) -> int:
+    check_field(args.q)
     demand = _parse_demand(args.demand, args.q)
     params = derive_params(args.K, len(demand.W), demand.V.rows, args.q)
     rng = random.Random(_resolve_seed(args))

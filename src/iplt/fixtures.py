@@ -23,6 +23,7 @@ from .protocol import (
     ProtocolParams,
     Query,
     _assemble_align_trailing,
+    assemble_generator,
     derive_params,
 )
 
@@ -40,10 +41,6 @@ class ExampleFixture:
     expected: dict[str, Any]
 
 
-def _mat(q: int, rows) -> FqMatrix:
-    return FqMatrix(q, rows)
-
-
 def _pi_from_table(table: dict[int, int], k: int) -> tuple[int, ...]:
     """1-based {message: position} table to a 0-based permutation tuple."""
     assert len(table) == k
@@ -59,32 +56,21 @@ def _zero_based(seq) -> tuple[int, ...]:
     return tuple(v - 1 for v in seq)
 
 
-def _block_diag(q: int, blocks: list[tuple[FqMatrix, int]], total_cols: int) -> FqMatrix:
-    """Stack (block, column offset) pairs into one zero-padded matrix."""
-    rows: list[list[int]] = []
-    for blk, off in blocks:
-        for r in blk.data:
-            row = [0] * total_cols
-            row[off : off + blk.cols] = r
-            rows.append(row)
-    return FqMatrix(q, rows, cols=total_cols)
-
-
 def _example_1() -> ExampleFixture:
     q = 17
     params = derive_params(24, 8, 2, q)
     demand = Demand(
         _zero_based((2, 4, 5, 7, 8, 10, 11, 18)),
-        _mat(q, [(2, 15, 3, 6, 1, 4, 11, 13), (6, 9, 4, 3, 11, 15, 13, 8)]),
+        FqMatrix(q, [(2, 15, 3, 6, 1, 4, 11, 13), (6, 9, 4, 3, 11, 15, 13, 8)]),
     )
     shuffled = Demand(
         _zero_based((5, 8, 11, 2, 4, 7, 10, 18)),
-        _mat(q, [(3, 1, 11, 2, 15, 6, 4, 13), (4, 11, 13, 6, 9, 3, 15, 8)]),
+        FqMatrix(q, [(3, 1, 11, 2, 15, 6, 4, 13), (4, 11, 13, 6, 9, 3, 15, 8)]),
         check_mds=False,
     )
-    g1 = _mat(q, [(1, 4, 7, 6, 3, 12, 4, 9), (5, 7, 6, 9, 3, 15, 2, 1)])
-    g3 = _mat(q, [(9, 13, 2, 10, 7, 1, 15, 3), (9, 11, 12, 3, 13, 13, 7, 10)])
-    g = _block_diag(q, [(g1, 0), (shuffled.V, 8), (g3, 16)], 24)
+    g1 = FqMatrix(q, [(1, 4, 7, 6, 3, 12, 4, 9), (5, 7, 6, 9, 3, 15, 2, 1)])
+    g3 = FqMatrix(q, [(9, 13, 2, 10, 7, 1, 15, 3), (9, 11, 12, 3, 13, 13, 7, 10)])
+    g = assemble_generator(params, [g1, shuffled.V, g3])
     pi = _pi_from_table(
         {
             1: 1, 22: 2, 13: 3, 19: 4, 24: 5, 17: 6, 20: 7, 12: 8,
@@ -116,22 +102,22 @@ def _example_2() -> ExampleFixture:
     params = derive_params(24, 9, 2, q)
     demand = Demand(
         _zero_based((2, 4, 5, 7, 8, 10, 11, 18, 23)),
-        _mat(
+        FqMatrix(
             q,
             [(2, 15, 3, 6, 1, 4, 11, 13, 9), (6, 9, 4, 3, 11, 15, 13, 8, 1)],
         ),
     )
     shuffled = Demand(
         _zero_based((10, 4, 8, 11, 7, 23, 18, 2, 5)),
-        _mat(
+        FqMatrix(
             q,
             [(4, 15, 1, 11, 6, 9, 13, 2, 3), (15, 9, 11, 13, 3, 1, 8, 6, 4)],
         ),
         check_mds=False,
     )
-    g1 = _mat(q, [(3, 14, 11, 8, 4, 10, 5, 5, 6), (12, 16, 3, 4, 6, 3, 7, 15, 4)])
-    decoy2 = _mat(q, [(1, 4, 7), (5, 7, 6)])
-    decoy4 = _mat(q, [(6, 3, 12), (9, 3, 15)])
+    g1 = FqMatrix(q, [(3, 14, 11, 8, 4, 10, 5, 5, 6), (12, 16, 3, 4, 6, 3, 7, 15, 4)])
+    decoy2 = FqMatrix(q, [(1, 4, 7), (5, 7, 6)])
+    decoy4 = FqMatrix(q, [(6, 3, 12), (9, 3, 15)])
     v = shuffled.V
     c_matrix = hstack(
         [
@@ -146,7 +132,7 @@ def _example_2() -> ExampleFixture:
     alpha = (3, 2, 1, 10, 4)
     c = (1, 13)
     trailing = _assemble_align_trailing(params, c_matrix, cauchy(q, x, y), alpha)
-    g = _block_diag(q, [(g1, 0), (trailing, 9)], 24)
+    g = assemble_generator(params, [g1, trailing])
     pi = _pi_from_table(
         {
             17: 1, 22: 2, 20: 3, 14: 4, 24: 5, 21: 6, 19: 7, 15: 8,
@@ -174,7 +160,7 @@ def _example_2() -> ExampleFixture:
         query=Query(G=g, pi=pi),
         secret=secret,
         expected={
-            "omega": _mat(q, [(5, 9), (14, 3), (4, 15)]),
+            "omega": FqMatrix(q, [(5, 9), (14, 3), (4, 15)]),
             "c": c,
             "planted_alpha": {0: 3, 2: 1, 4: 4},
             "trailing_coefs": (
@@ -191,21 +177,21 @@ def _example_3() -> ExampleFixture:
     params = derive_params(24, 7, 2, q)
     demand = Demand(
         _zero_based((2, 4, 7, 10, 15, 18, 23)),
-        _mat(q, [(2, 15, 6, 4, 11, 13, 9), (6, 9, 3, 15, 13, 8, 1)]),
+        FqMatrix(q, [(2, 15, 6, 4, 11, 13, 9), (6, 9, 3, 15, 13, 8, 1)]),
     )
     shuffled = Demand(
         _zero_based((4, 10, 7, 23, 18, 2, 15)),
-        _mat(q, [(15, 4, 6, 9, 13, 2, 11), (9, 15, 3, 1, 8, 6, 13)]),
+        FqMatrix(q, [(15, 4, 6, 9, 13, 2, 11), (9, 15, 3, 1, 8, 6, 13)]),
         check_mds=False,
     )
-    g1 = _mat(q, [(11, 5, 10, 1, 15, 2, 7), (16, 10, 16, 6, 1, 1, 13)])
-    g2 = _mat(q, [(5, 8, 14, 7, 4, 3, 16), (3, 5, 8, 1, 6, 2, 15)])
+    g1 = FqMatrix(q, [(11, 5, 10, 1, 15, 2, 7), (16, 10, 16, 6, 1, 1, 13)])
+    g2 = FqMatrix(q, [(5, 8, 14, 7, 4, 3, 16), (3, 5, 8, 1, 6, 2, 15)])
     # The trailing generator and the parity matrix below are generalized
     # Reed-Solomon matrices on the points (4, 6, 8, 9, 10, 2, 15, 3, 5, 12);
     # duality, the pinned recovery transform, and the embedded null-space
     # columns jointly force the generator's column 8 multiplier to 4 and the
     # parity's column 2 multiplier to 16 (1-based columns).
-    g3 = _mat(
+    g3 = FqMatrix(
         q,
         [
             (3, 14, 11, 8, 4, 10, 8, 4, 5, 6),
@@ -215,7 +201,7 @@ def _example_3() -> ExampleFixture:
             (3, 5, 6, 9, 16, 7, 9, 1, 14, 10),
         ],
     )
-    g = _block_diag(q, [(g1, 0), (g2, 7), (g3, 14)], 24)
+    g = assemble_generator(params, [g1, g2, g3])
     pi = _pi_from_table(
         {
             8: 1, 14: 2, 17: 3, 22: 4, 19: 5, 16: 6, 13: 7, 3: 8,
@@ -237,7 +223,7 @@ def _example_3() -> ExampleFixture:
         query=Query(G=g, pi=pi),
         secret=secret,
         expected={
-            "lam": _mat(
+            "lam": FqMatrix(
                 q,
                 [
                     (8, 5, 9, 6, 14, 11, 13),
@@ -247,7 +233,7 @@ def _example_3() -> ExampleFixture:
                     (8, 12, 8, 11, 3, 7, 16),
                 ],
             ),
-            "parity": _mat(
+            "parity": FqMatrix(
                 q,
                 [
                     (8, 16, 5, 9, 2, 6, 14, 11, 4, 13),
@@ -257,8 +243,8 @@ def _example_3() -> ExampleFixture:
                     (8, 13, 12, 8, 8, 11, 3, 7, 1, 16),
                 ],
             ),
-            "t_matrix": _mat(q, [(6, 4, 13, 1, 0), (0, 6, 4, 13, 1)]),
-            "u_matrix": _mat(
+            "t_matrix": FqMatrix(q, [(6, 4, 13, 1, 0), (0, 6, 4, 13, 1)]),
+            "u_matrix": FqMatrix(
                 q,
                 [
                     (15, 0, 4, 6, 0, 9, 13, 2, 0, 11),

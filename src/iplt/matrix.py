@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import (
     BadGrsParameters,
@@ -224,23 +224,29 @@ def _invertible(square: list[list[int]], q: int) -> bool:
 # -- MDS machinery ----------------------------------------------------------
 
 
-def is_mds(m: FqMatrix) -> bool:
-    """True iff every maximal (rows x rows) minor of m is invertible.
+def first_singular_minor(m: FqMatrix) -> Optional[tuple[int, ...]]:
+    """The lexicographically first column subset whose maximal minor is singular.
 
-    A matrix with more rows than columns has no maximal minors and the call
-    is a usage error (ShapeError).  A 0-row matrix is vacuously MDS.
+    Returns None when every maximal (rows x rows) minor is invertible.  A
+    matrix with more rows than columns has no maximal minors and the call is
+    a usage error (ShapeError).  A 0-row matrix has no singular minor.
     """
     r, n = m.rows, m.cols
     if r > n:
         raise ShapeError(f"is_mds needs rows <= cols, got {r}x{n}")
     if r == 0:
-        return True
+        return None
     colv = [m.column(j) for j in range(n)]
     for sub in itertools.combinations(range(n), r):
         sq = [[colv[j][i] for j in sub] for i in range(r)]
         if not _invertible(sq, m.q):
-            return False
-    return True
+            return sub
+    return None
+
+
+def is_mds(m: FqMatrix) -> bool:
+    """True iff every maximal minor of m is invertible (see first_singular_minor)."""
+    return first_singular_minor(m) is None
 
 
 def cauchy(q: int, x: Sequence[int], y: Sequence[int]) -> FqMatrix:

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from .bounds import check_shape, slot_width
 from .errors import (
     AlignmentSingular,
     BadShape,
@@ -85,16 +86,15 @@ def derive_params(K: int, D: int, L: int, q: int, N: int = 1) -> ProtocolParams:
     Raises BadShape unless 1 <= L <= D <= K and N >= 1, NotPrime for a
     composite q, and FieldTooSmall when q < D + (K mod D).
     """
-    for name, v in (("K", K), ("D", D), ("L", L), ("q", q), ("N", N)):
+    check_shape(K, D, L)
+    for name, v in (("q", q), ("N", N)):
         if not isinstance(v, int):
             raise BadShape(f"{name} must be an int, got {type(v).__name__}")
-    if not 1 <= L <= D <= K:
-        raise BadShape(f"need 1 <= L <= D <= K, got L={L} D={D} K={K}")
     if N < 1:
         raise BadShape(f"need N >= 1, got N={N}")
     check_field(q)
     R = K % D
-    S = math.gcd(D + R, R) if R else D
+    S = slot_width(D, R)
     if q < D + R:
         raise FieldTooSmall(f"need q >= D + R = {D + R}, got q={q}")
     n = K // D - 1
@@ -293,6 +293,11 @@ def solve_alignment(
     return c, tuple(alpha)  # type: ignore[arg-type]
 
 
+def slot_columns(S: int, slots: Sequence[int]) -> list[int]:
+    """Columns of the AlignS width-S slots, in slot order: slot j covers j*S .. j*S + S - 1."""
+    return [j * S + v for j in slots for v in range(S)]
+
+
 def _assemble_align_trailing(
     params: ProtocolParams,
     c_matrix: FqMatrix,
@@ -319,8 +324,8 @@ def _assemble_align_trailing(
             for u in range(L):
                 src = c_matrix.data[u]
                 dst = rows[i * L + u]
-                for v in range(S):
-                    dst[j * S + v] = (coef * src[j * S + v]) % q
+                for p in slot_columns(S, [j]):
+                    dst[p] = (coef * src[p]) % q
     return FqMatrix(q, rows, cols=width)
 
 
@@ -342,17 +347,9 @@ def demand_positions(
     if b < n:
         return [b * D + j for j in range(D)]
     if params.case == ALIGN_S:
-        S = params.S
         if k_idx is None or l_idx is None:
             raise BadShape("AlignS trailing placement needs k_idx and l_idx")
-        r = len(k_idx)
-        out = []
-        for j1 in range(1, D + 1):
-            e = (j1 + S - 1) // S
-            blk = k_idx[e - 1] if j1 <= r * S else l_idx[e - r - 1]
-            f = S if j1 % S == 0 else j1 % S
-            out.append(n * D + blk * S + (f - 1))
-        return out
+        return [n * D + p for p in slot_columns(params.S, [*k_idx, *l_idx])]
     if h is None:
         raise BadShape("ParityEmbed trailing placement needs h")
     return [n * D + h[j] for j in range(D)]
@@ -411,7 +408,7 @@ def build_query(
     c_matrix: Optional[FqMatrix] = None
 
     if params.case == ALIGN_S:
-        t, m, S = params.t, params.m, params.S
+        t, m = params.t, params.m
         assert t is not None and m is not None
         pts = rng.sample(range(q), t + m)
         cauchy_x, cauchy_y = tuple(pts[:m]), tuple(pts[m:])
@@ -423,7 +420,7 @@ def build_query(
             if grs is None:
                 c_matrix = shuffled.V
             else:
-                positions = [j * S + v for j in planted for v in range(S)]
+                positions = slot_columns(params.S, planted)
                 c_matrix = grs_extend(shuffled.V, points, mults, positions, D + R, rng)
             c, alpha = solve_alignment(q, t, m, k_idx, l_idx, omega, rng)
         else:
@@ -441,14 +438,7 @@ def build_query(
     else:
         trailing = random_grs(q, L + R, D + R, rng)
 
-    g_rows = [[0] * K for _ in range(params.answer_rows)]
-    for i, blk in enumerate(diag):
-        for u in range(L):
-            g_rows[i * L + u][i * D : (i + 1) * D] = blk.data[u]
-    for u in range(trailing.rows):
-        g_rows[n * L + u][n * D :] = trailing.data[u]
-    g = FqMatrix(q, g_rows, cols=K)
-
+    g = assemble_generator(params, [*diag, trailing])
     demand_pos = demand_positions(params, b, k_idx=k_idx, l_idx=l_idx, h=h)
 
     used = set(demand_pos)
@@ -476,6 +466,61 @@ def build_query(
         trailing=trailing if b == n else None,
     )
     return Query(g, tuple(pi)), secret
+
+
+def assemble_generator(params: ProtocolParams, blocks: Sequence[FqMatrix]) -> FqMatrix:
+    """G from its diagonal blocks: block i starts at row i*L and column i*D.
+
+    blocks are the n L x D blocks followed by the trailing block.
+    """
+    D, L, K = params.D, params.L, params.K
+    g_rows = [[0] * K for _ in range(params.answer_rows)]
+    for i, blk in enumerate(blocks):
+        for u, row in enumerate(blk.data):
+            g_rows[i * L + u][i * D : i * D + blk.cols] = row
+    return FqMatrix(params.q, g_rows, cols=K)
+
+
+def trailing_block(query: Query, params: ProtocolParams) -> FqMatrix:
+    """The trailing generator block: G's rows from n*L on, over its last D + R columns."""
+    g, n = query.G, params.n
+    return g.take_rows(range(n * params.L, g.rows)).take_cols(range(n * params.D, g.cols))
+
+
+def aligned_combination(
+    rows: FqMatrix, params: ProtocolParams, l_idx: Sequence[int], c: Sequence[int]
+) -> FqMatrix:
+    """The AlignS combination: sum_j c[j] times row block l_idx[j] - t of rows.
+
+    rows is the trailing block, or the rows of an answer from n*L on.
+    """
+    L, t = params.L, params.t
+    assert t is not None
+    select = [[0] * rows.rows for _ in range(L)]
+    for coef, l in zip(c, l_idx):
+        for u in range(L):
+            select[u][(l - t) * L + u] = coef
+    return FqMatrix(params.q, select, cols=rows.rows).mul(rows)
+
+
+def embedding_transform(
+    v: FqMatrix, h: Sequence[int], trailing: FqMatrix
+) -> tuple[FqMatrix, FqMatrix]:
+    """ParityEmbed recovery: (U, T) where U holds V's column j at trailing column
+    h[j] and zeros elsewhere, and T is the unique solution of T @ trailing = U.
+
+    Raises RecoveryInconsistent when no such T exists.
+    """
+    where = {col: j for j, col in enumerate(h)}
+    zero = (0,) * v.rows
+    ut = FqMatrix(
+        v.q, [v.column(where[p]) if p in where else zero for p in range(trailing.cols)], cols=v.rows
+    )
+    try:
+        t_mat = solve(trailing.transpose(), ut).transpose()
+    except InconsistentSystem as exc:
+        raise RecoveryInconsistent(str(exc)) from None
+    return ut.transpose(), t_mat
 
 
 def composed_generator(query: Query) -> FqMatrix:
@@ -523,29 +568,10 @@ def recover(
     b = secret.b
     if b < n:
         return y.take_rows(range(b * L, (b + 1) * L))
+    rest = y.take_rows(range(n * L, y.rows))
     if params.case == ALIGN_S:
-        t = params.t
-        assert t is not None and secret.l_idx is not None and secret.c is not None
-        acc = [[0] * y.cols for _ in range(L)]
-        for coef, l in zip(secret.c, secret.l_idx):
-            base = n * L + (l - t) * L
-            for u in range(L):
-                src = y.data[base + u]
-                dst = acc[u]
-                for col in range(y.cols):
-                    dst[col] = (dst[col] + coef * src[col]) % q
-        return FqMatrix(q, acc, cols=y.cols)
+        assert secret.l_idx is not None and secret.c is not None
+        return aligned_combination(rest, params, secret.l_idx, secret.c)
     assert secret.h is not None and secret.trailing is not None
-    trailing = secret.trailing
-    vt = secret.shuffled.V
-    width = params.D + params.R
-    u_rows = [[0] * width for _ in range(L)]
-    for j, col in enumerate(secret.h):
-        for row in range(L):
-            u_rows[row][col] = vt.data[row][j]
-    u = FqMatrix(q, u_rows, cols=width)
-    try:
-        t_mat = solve(trailing.transpose(), u.transpose()).transpose()
-    except InconsistentSystem as exc:
-        raise RecoveryInconsistent(str(exc)) from None
-    return t_mat.mul(y.take_rows(range(n * L, n * L + trailing.rows)))
+    _, t_mat = embedding_transform(secret.shuffled.V, secret.h, secret.trailing)
+    return t_mat.mul(rest)

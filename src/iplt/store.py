@@ -52,12 +52,31 @@ class MessageStore:
         return cls(q=q, K=K, N=N, X=FqMatrix.random(q, K, N, rng))
 
 
+def pack_entries(m: FqMatrix) -> bytes:
+    """m's entries in row-major order, 8 bytes little-endian each."""
+    flat = [v for row in m.data for v in row]
+    return struct.pack(f"<{len(flat)}Q", *flat)
+
+
+def unpack_entries(
+    data: bytes, offset: int, rows: int, cols: int, q: int, error: type, what: str
+) -> FqMatrix:
+    """Read a rows x cols matrix of 8-byte little-endian entries starting at offset.
+
+    The first entry that is not below q raises error, naming the entry as
+    what and giving its byte offset in data.
+    """
+    flat = struct.unpack_from(f"<{rows * cols}Q", data, offset)
+    if flat and max(flat) >= q:
+        idx = next(i for i, v in enumerate(flat) if v >= q)
+        raise error(f"{what} {flat[idx]} at byte offset {offset + idx * 8} is not below q={q}")
+    return FqMatrix(q, [flat[i * cols : (i + 1) * cols] for i in range(rows)], cols=cols)
+
+
 def store_save(store: MessageStore, path) -> None:
     """Write the store to path in the PLTS format."""
-    flat = [v for row in store.X.data for v in row]
     blob = _HEADER.pack(MAGIC, VERSION, store.q, store.K, store.N)
-    blob += struct.pack(f"<{len(flat)}Q", *flat)
-    Path(path).write_bytes(blob)
+    Path(path).write_bytes(blob + pack_entries(store.X))
 
 
 def store_load(path) -> MessageStore:
@@ -73,11 +92,5 @@ def store_load(path) -> MessageStore:
     expected = _HEADER.size + k * n * 8
     if len(data) != expected:
         raise TruncatedFile(f"file has {len(data)} bytes, format requires {expected}")
-    flat = struct.unpack_from(f"<{k * n}Q", data, _HEADER.size)
-    for idx, v in enumerate(flat):
-        if v >= q:
-            raise EntryOutOfRange(
-                f"entry {v} at byte offset {_HEADER.size + idx * 8} is not below q={q}"
-            )
-    rows = [list(flat[i * n : (i + 1) * n]) for i in range(k)]
-    return MessageStore(q=q, K=k, N=n, X=FqMatrix(q, rows, cols=n))
+    x = unpack_entries(data, _HEADER.size, k, n, q, EntryOutOfRange, "entry")
+    return MessageStore(q=q, K=k, N=n, X=x)

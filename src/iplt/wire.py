@@ -27,9 +27,8 @@ from .errors import (
     RemoteError,
     ShapeError,
 )
-from .matrix import FqMatrix
 from .protocol import Answer, Query, answer
-from .store import MessageStore
+from .store import MessageStore, pack_entries, unpack_entries
 
 KIND_QUERY = 0x01
 KIND_ANSWER = 0x02
@@ -47,12 +46,9 @@ def encode_query(query: Query) -> bytes:
     """Serialize (G, pi); the field order is carried in the payload."""
     g = query.G
     k = len(query.pi)
-    flat = [v for row in g.data for v in row]
-    parts = [_QUERY_HEAD.pack(g.q, k, g.rows)]
-    if flat:
-        parts.append(struct.pack(f"<{len(flat)}Q", *flat))
-    parts.append(struct.pack(f"<{k}I", *query.pi))
-    return b"".join(parts)
+    return b"".join(
+        [_QUERY_HEAD.pack(g.q, k, g.rows), pack_entries(g), struct.pack(f"<{k}I", *query.pi)]
+    )
 
 
 def decode_query(payload: bytes) -> Query:
@@ -71,13 +67,9 @@ def decode_query(payload: bytes) -> Query:
         raise MalformedPayload(
             f"query payload has {len(payload)} bytes, structure requires {expected}"
         )
-    flat = struct.unpack_from(f"<{rows * k}Q", payload, _QUERY_HEAD.size)
-    for idx, v in enumerate(flat):
-        if v >= q:
-            raise MalformedPayload(
-                f"generator entry {v} at offset {_QUERY_HEAD.size + idx * 8} "
-                f"is not below q={q}"
-            )
+    g = unpack_entries(
+        payload, _QUERY_HEAD.size, rows, k, q, MalformedPayload, "generator entry"
+    )
     pi_off = _QUERY_HEAD.size + rows * k * 8
     pi = struct.unpack_from(f"<{k}I", payload, pi_off)
     seen = set()
@@ -88,18 +80,12 @@ def decode_query(payload: bytes) -> Query:
         if p in seen:
             raise MalformedPayload(f"duplicate permutation value {p} at offset {off}")
         seen.add(p)
-    g_rows = [list(flat[i * k : (i + 1) * k]) for i in range(rows)]
-    return Query(G=FqMatrix(q, g_rows, cols=k), pi=tuple(pi))
+    return Query(G=g, pi=tuple(pi))
 
 
 def encode_answer(ans: Answer) -> bytes:
     """Serialize the answer matrix."""
-    y = ans.Y
-    flat = [v for row in y.data for v in row]
-    head = _ANSWER_HEAD.pack(y.rows, y.cols)
-    if flat:
-        return head + struct.pack(f"<{len(flat)}Q", *flat)
-    return head
+    return _ANSWER_HEAD.pack(ans.Y.rows, ans.Y.cols) + pack_entries(ans.Y)
 
 
 def decode_answer(payload: bytes, q: int) -> Answer:
@@ -114,15 +100,9 @@ def decode_answer(payload: bytes, q: int) -> Answer:
         raise MalformedPayload(
             f"answer payload has {len(payload)} bytes, structure requires {expected}"
         )
-    flat = struct.unpack_from(f"<{rows * n}Q", payload, _ANSWER_HEAD.size)
-    for idx, v in enumerate(flat):
-        if v >= q:
-            raise MalformedPayload(
-                f"answer entry {v} at offset {_ANSWER_HEAD.size + idx * 8} "
-                f"is not below q={q}"
-            )
-    y_rows = [list(flat[i * n : (i + 1) * n]) for i in range(rows)]
-    return Answer(Y=FqMatrix(q, y_rows, cols=n))
+    return Answer(
+        Y=unpack_entries(payload, _ANSWER_HEAD.size, rows, n, q, MalformedPayload, "answer entry")
+    )
 
 
 def to_debug_json(query: Query) -> str:

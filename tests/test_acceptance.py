@@ -28,7 +28,7 @@ from iplt.audit import (
     shortening_feasibility_sweep,
 )
 from iplt.bounds import capacity_lower, capacity_upper, ilp_bruteforce, jplt_rate
-from iplt.cli import _example_checks, _trailing_block
+from iplt.cli import _example_checks
 from iplt.errors import CompletionFailed
 from iplt.fixtures import example_fixture
 from iplt.matrix import FqMatrix, cauchy
@@ -41,6 +41,7 @@ from iplt.protocol import (
     build_query,
     derive_params,
     recover,
+    trailing_block,
 )
 from iplt.store import MessageStore, store_load, store_save
 from iplt.wire import decode_answer, decode_query, encode_answer, encode_query, fetch, serve
@@ -309,7 +310,7 @@ def test_criterion_7_feasibility_totality(capfd):
         demand = Demand.random(params, rng)
         query, secret = build_query(demand, params, rng)
         sweep = alignment_feasibility_sweep(
-            _trailing_block(query, params), params, secret.cauchy_x, secret.cauchy_y
+            trailing_block(query, params), params, secret.cauchy_x, secret.cauchy_y
         )
         total = math.comb(params.t + params.m, params.t + 1)
         if not (sweep.ok and sweep.total == total and sweep.feasible == total):
@@ -345,7 +346,7 @@ def test_criterion_7_feasibility_totality(capfd):
                 redraws += 1
                 continue
             break
-        sweep = shortening_feasibility_sweep(_trailing_block(query, params), params)
+        sweep = shortening_feasibility_sweep(trailing_block(query, params), params)
         total = math.comb(D + K % D, D)
         if not (sweep.ok and sweep.total == total and sweep.feasible == total):
             problems.append(

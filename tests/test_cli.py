@@ -226,6 +226,24 @@ def test_audit_alignment_case(capsys):
     assert lines[-1] == "audit: PASS"
 
 
+@pytest.mark.parametrize(
+    "flags,detail",
+    [
+        (["--trials", "0"], "need --trials >= 1, got 0"),
+        (["--trials", "-3"], "need --trials >= 1, got -3"),
+        (["--max-enum", "-1"], "need --max-enum >= 0, got -1"),
+    ],
+)
+def test_audit_rejects_counts_out_of_range(capsys, flags, detail):
+    """An audit that would check nothing exits 2 instead of reporting PASS."""
+    rc, out, err = run_cli(
+        capsys, ["audit", "--K", "12", "--D", "5", "--L", "2", "--q", "17"] + flags
+    )
+    assert rc == 2
+    assert out == ""
+    assert err == f"error: BadShape: {detail}\n"
+
+
 # -- ilp ------------------------------------------------------------------
 
 
@@ -234,6 +252,15 @@ def test_ilp_matches_closed_form(capsys):
     rc, out, _ = run_cli(capsys, ["ilp", "--max-K", "15"])
     assert rc == 0
     assert out == "checked 680 triples up to K=15: 0 mismatches\n"
+
+
+@pytest.mark.parametrize("max_k", ["0", "-1"])
+def test_ilp_rejects_nonpositive_max_k(capsys, max_k):
+    """A bound below 1 checks no triple; it exits 2 instead of reporting 0 mismatches."""
+    rc, out, err = run_cli(capsys, ["ilp", "--max-K", max_k])
+    assert rc == 2
+    assert out == ""
+    assert err == f"error: BadShape: need --max-K >= 1, got {max_k}\n"
 
 
 # -- sweep ----------------------------------------------------------------
@@ -391,6 +418,19 @@ def test_fetch_rejects_dependent_coefficients(capsys, tmp_path):
     )
     assert rc == 2
     assert err == "error: NotMds: coefficient columns for messages 1, 3 are dependent\n"
+
+
+@pytest.mark.parametrize("q", ["9", "1"])
+def test_fetch_checks_field_before_demand(capsys, tmp_path, q):
+    """A bad --q is reported as NotPrime, not as an error parsing the demand over it."""
+    dpath = write_demand(tmp_path, "W: 1 3 5\n2 1 1\n1 2 3\n")
+    rc, out, err = run_cli(
+        capsys,
+        ["fetch", "--addr", "127.0.0.1:1", "--demand", dpath, "--K", "10", "--q", q],
+    )
+    assert rc == 2
+    assert out == ""
+    assert err == f"error: NotPrime: field order must be prime, got {q}\n"
 
 
 def test_fetch_rejects_non_grs_coefficients(capsys, tmp_path):

@@ -1,5 +1,6 @@
 """Exact linear algebra against Leibniz/minor oracles and structural laws."""
 
+import itertools
 import random
 
 import pytest
@@ -24,7 +25,7 @@ from iplt import (
     right_null_space,
     solve,
 )
-from iplt.matrix import _rref
+from iplt.matrix import _rref, first_singular_minor
 
 from oracles import (
     NON_GRS_V_17,
@@ -225,6 +226,14 @@ def test_is_mds_matches_leibniz_oracle():
         c = rng.randint(r, 5)
         m = rand_mat(rng, r, c)
         assert is_mds(m) == naive_is_mds(m.to_rows(), Q)
+        assert first_singular_minor(m) == next(
+            (
+                sub
+                for sub in itertools.combinations(range(c), r)
+                if leibniz_det([[row[j] for j in sub] for row in m.to_rows()], Q) == 0
+            ),
+            None,
+        )
 
 
 def test_is_mds_edges():
