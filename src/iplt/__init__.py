@@ -58,7 +58,6 @@ from .protocol import (
     alignment_coefficients,
     answer,
     build_query,
-    composed_generator,
     demand_positions,
     derive_params,
     recover,

@@ -30,6 +30,15 @@ from .protocol import (
 )
 
 
+def trailing_support_count(params: ProtocolParams) -> int:
+    """How many supports the trailing block can hide: C(t+m, t+1) slot subsets
+    (AlignS) or C(D+R, D) column subsets (ParityEmbed)."""
+    if params.case == ALIGN_S:
+        assert params.t is not None and params.m is not None
+        return math.comb(params.t + params.m, params.t + 1)
+    return math.comb(params.D + params.R, params.D)
+
+
 @dataclass(frozen=True)
 class SupportCandidate:
     """One support the query could be hiding, with its exact prior weight."""
@@ -64,7 +73,7 @@ def candidate_supports(query: Query, params: ProtocolParams) -> list[SupportCand
         groups = [slot_columns(S, sel) for sel in itertools.combinations(range(t + m), t + 1)]
     else:
         groups = list(itertools.combinations(range(D + R), D))
-    w = Fraction(D + R, K * len(groups))
+    w = Fraction(D + R, K * trailing_support_count(params))
     out += [SupportCandidate(frozenset(inv[n * D + p] for p in sel), w) for sel in groups]
     return out
 
@@ -105,9 +114,10 @@ class PrivacyReport:
 def audit_individual_privacy(query, params: ProtocolParams, demand=None) -> PrivacyReport:
     """Audit one query: structure, candidate weights, and per-index posterior.
 
-    Checks that pi is a bijection, that G has the block-diagonal support
-    shape, that the candidate weights sum to 1 with every support of size D,
-    and that every message index has posterior exactly D/K.  When the true
+    Checks that pi is a bijection, that G has the block-diagonal shape (n
+    L x D decoy blocks, then a trailing block covering the remaining rows and
+    columns), that the candidate weights sum to 1 with every support of size
+    D, and that every message index has posterior exactly D/K.  When the true
     demand is supplied, also checks its support appears among the
     candidates (a query that cannot explain the true demand leaks).
     """
@@ -116,22 +126,20 @@ def audit_individual_privacy(query, params: ProtocolParams, demand=None) -> Priv
     pi = query.pi
     if len(pi) != K or sorted(pi) != list(range(K)):
         errors.append("permutation is not a bijection")
-    g = query.G
-    if g.rows != params.answer_rows or g.cols != K:
+    if len(query.blocks) != n:
+        errors.append(f"generator has {len(query.blocks)} decoy blocks, expected {n}")
+    for i, blk in enumerate(query.blocks):
+        if blk.cols != D:
+            errors.append(f"block {i} has support outside its columns")
+        elif blk.rows != L:
+            errors.append(f"block {i} has {blk.rows} rows, expected {L}")
+    trailing = query.trailing
+    if trailing.cols != K - n * D:
+        errors.append("trailing block has support outside its columns")
+    elif trailing.rows != params.answer_rows - n * L:
         errors.append(
-            f"generator is {g.rows}x{g.cols}, expected {params.answer_rows}x{K}"
+            f"trailing block has {trailing.rows} rows, expected {params.answer_rows - n * L}"
         )
-    else:
-        for i in range(n):
-            for u in range(i * L, (i + 1) * L):
-                row = g.data[u]
-                if any(row[:i * D]) or any(row[(i + 1) * D :]):
-                    errors.append(f"block {i} has support outside its columns")
-                    break
-        for u in range(n * L, g.rows):
-            if any(g.data[u][: n * D]):
-                errors.append("trailing block has support outside its columns")
-                break
     expected = Fraction(D, K)
     if errors and "permutation is not a bijection" in errors:
         return PrivacyReport(
@@ -139,20 +147,21 @@ def audit_individual_privacy(query, params: ProtocolParams, demand=None) -> Priv
             weight_total=Fraction(0), expected=expected, structure_errors=errors,
         )
     cands = candidate_supports(query, params)
-    weight_total = sum((c.weight for c in cands), start=Fraction(0))
+    # Posteriors are summed as integer numerators over the weights' common
+    # denominator: Fraction additions per support entry used to dominate the
+    # audit's time.  Fractions are built only for the reported values.
+    den = math.lcm(*(c.weight.denominator for c in cands))
+    nums = [c.weight.numerator * (den // c.weight.denominator) for c in cands]
+    weight_total = Fraction(sum(nums), den)
     if weight_total != 1:
         errors.append(f"candidate weights sum to {weight_total}, not 1")
     if any(len(c.support) != D for c in cands):
         errors.append("a candidate support does not have size D")
-    sums: dict[int, Fraction] = {}
-    for c in cands:
+    sums = [0] * K
+    for c, num in zip(cands, nums):
         for i in c.support:
-            sums[i] = sums.get(i, Fraction(0)) + c.weight
-    violations = [
-        (i, sums.get(i, Fraction(0)))
-        for i in range(K)
-        if sums.get(i, Fraction(0)) != expected
-    ]
+            sums[i] += num
+    violations = [(i, Fraction(s, den)) for i, s in enumerate(sums) if s * K != D * den]
     true_found: Optional[bool] = None
     if demand is not None:
         target = frozenset(demand.W)
@@ -206,7 +215,7 @@ def alignment_feasibility_sweep(
             f"expected {m * L}x{(t + m) * S}"
         )
     omega = cauchy(q, cauchy_x, cauchy_y)
-    report = FeasibilityReport(total=math.comb(t + m, t + 1), feasible=0)
+    report = FeasibilityReport(total=trailing_support_count(params), feasible=0)
     for sel in itertools.combinations(range(t + m), t + 1):
         k_idx = tuple(j for j in sel if j < t)
         l_idx = tuple(j for j in sel if j >= t)
@@ -248,7 +257,7 @@ def shortening_feasibility_sweep(
     width = D + R
     if trailing.cols != width:
         raise ShapeError(f"trailing block has {trailing.cols} columns, expected {width}")
-    report = FeasibilityReport(total=math.comb(width, D), feasible=0)
+    report = FeasibilityReport(total=trailing_support_count(params), feasible=0)
     for sel in itertools.combinations(range(width), D):
         selset = set(sel)
         comp = [j for j in range(width) if j not in selset]

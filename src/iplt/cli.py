@@ -22,6 +22,7 @@ from .audit import (
     alignment_feasibility_sweep,
     audit_individual_privacy,
     shortening_feasibility_sweep,
+    trailing_support_count,
 )
 from .bounds import capacity_upper, decimal6, ilp_bruteforce, rate_bounds, render_csv, sweep
 from .errors import BadShape, IpltError, NotMds
@@ -41,7 +42,6 @@ from .protocol import (
     recover,
     slot_columns,
     solve_alignment,
-    trailing_block,
 )
 from .store import MessageStore, store_load
 from .wire import fetch, serve, to_debug_json
@@ -111,12 +111,10 @@ def _example_checks(fx: ExampleFixture) -> list[tuple[str, bool, str]]:
     def add(name: str, ok: bool, detail: str = "") -> None:
         checks.append((name, bool(ok), detail))
 
-    g = query.G
-    add(
-        "generator shape",
-        g.rows == params.answer_rows and g.cols == K,
-        f"got {g.rows}x{g.cols}, want {params.answer_rows}x{K}",
-    )
+    trailing = query.trailing
+    shapes = [(blk.rows, blk.cols) for blk in (*query.blocks, trailing)]
+    want = [(L, D)] * n + [(params.answer_rows - n * L, K - n * D)]
+    add("generator shape", shapes == want, f"got blocks {shapes}, want {want}")
     add("permutation", sorted(query.pi) == list(range(K)), "pi is not a bijection")
     add(
         "coefficients mds",
@@ -134,12 +132,9 @@ def _example_checks(fx: ExampleFixture) -> list[tuple[str, bool, str]]:
     add("shuffle", pairs_ok, "shuffled demand is not a column permutation of the demand")
 
     if secret.b < n:
-        planted = g.take_rows(range(secret.b * L, (secret.b + 1) * L)).take_cols(
-            range(secret.b * D, (secret.b + 1) * D)
-        )
         add(
             "demand block",
-            planted == shuffled.V,
+            query.blocks[secret.b] == shuffled.V,
             "diagonal block b does not hold the shuffled coefficients",
         )
     elif params.case == ALIGN_S:
@@ -176,7 +171,6 @@ def _example_checks(fx: ExampleFixture) -> list[tuple[str, bool, str]]:
         report.summary().replace("\n", "; "),
     )
 
-    trailing = trailing_block(query, params)
     if params.case == ALIGN_S:
         if "omega" in exp:
             omega = cauchy(q, secret.cauchy_x, secret.cauchy_y)
@@ -287,7 +281,8 @@ def cmd_demo(args: argparse.Namespace) -> int:
     store = MessageStore.random(params.q, params.K, params.N, rng)
     print(f"store: {store.K} messages of {store.N} symbols over GF({store.q})")
     query, secret = build_query(demand, params, rng)
-    print(f"query: generator {query.G.rows}x{query.G.cols}, demand block {secret.b}")
+    g = query.G
+    print(f"query: generator {g.rows}x{g.cols}, demand block {secret.b}")
     ans = answer(query, store.X)
     print(f"answer: {ans.Y.rows} rows")
     report = audit_individual_privacy(query, params, demand)
@@ -314,12 +309,8 @@ def cmd_audit(args: argparse.Namespace) -> int:
     params = derive_params(args.K, args.D, args.L, args.q, args.N)
     rng = random.Random(_resolve_seed(args))
     _print_params(params)
-    if params.case == ALIGN_S:
-        enum = math.comb(params.t + params.m, params.t + 1)
-        work = enum * math.comb(params.D, params.L)
-    else:
-        enum = math.comb(params.D + params.R, params.D)
-        work = enum
+    enum = trailing_support_count(params)
+    work = enum * math.comb(params.D, params.L) if params.case == ALIGN_S else enum
     do_sweep = work <= args.max_enum
     priv_ok = sweep_ok = 0
     failures: list[str] = []
@@ -332,7 +323,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
         else:
             failures.append(f"trial {trial}: " + report.summary().replace("\n", "; "))
         if do_sweep:
-            trailing = trailing_block(query, params)
+            trailing = query.trailing
             if params.case == ALIGN_S:
                 fs = alignment_feasibility_sweep(
                     trailing, params, secret.cauchy_x, secret.cauchy_y
@@ -389,6 +380,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         ratio = Fraction(args.ratio)
     except (ValueError, ZeroDivisionError) as exc:
         raise BadShape(f"cannot parse ratio {args.ratio!r}: {exc}") from None
+    if not 0 < ratio <= 1:
+        raise BadShape(f"need 0 < --ratio <= 1, got {ratio}")
+    if args.K < 1:
+        raise BadShape(f"need --K >= 1, got {args.K}")
     if args.dstep < 1:
         raise BadShape(f"need --dstep >= 1, got {args.dstep}")
     d_values = range(args.dstep, args.K + 1, args.dstep)

@@ -23,7 +23,6 @@ from .protocol import (
     ProtocolParams,
     Query,
     _assemble_align_trailing,
-    assemble_generator,
     derive_params,
 )
 
@@ -70,7 +69,6 @@ def _example_1() -> ExampleFixture:
     )
     g1 = FqMatrix(q, [(1, 4, 7, 6, 3, 12, 4, 9), (5, 7, 6, 9, 3, 15, 2, 1)])
     g3 = FqMatrix(q, [(9, 13, 2, 10, 7, 1, 15, 3), (9, 11, 12, 3, 13, 13, 7, 10)])
-    g = assemble_generator(params, [g1, shuffled.V, g3])
     pi = _pi_from_table(
         {
             1: 1, 22: 2, 13: 3, 19: 4, 24: 5, 17: 6, 20: 7, 12: 8,
@@ -91,7 +89,7 @@ def _example_1() -> ExampleFixture:
         name="example 1",
         params=params,
         demand=demand,
-        query=Query(G=g, pi=pi),
+        query=Query((g1, shuffled.V), g3, pi),
         secret=secret,
         expected={},
     )
@@ -132,7 +130,6 @@ def _example_2() -> ExampleFixture:
     alpha = (3, 2, 1, 10, 4)
     c = (1, 13)
     trailing = _assemble_align_trailing(params, c_matrix, cauchy(q, x, y), alpha)
-    g = assemble_generator(params, [g1, trailing])
     pi = _pi_from_table(
         {
             17: 1, 22: 2, 20: 3, 14: 4, 24: 5, 21: 6, 19: 7, 15: 8,
@@ -157,7 +154,7 @@ def _example_2() -> ExampleFixture:
         name="example 2",
         params=params,
         demand=demand,
-        query=Query(G=g, pi=pi),
+        query=Query((g1,), trailing, pi),
         secret=secret,
         expected={
             "omega": FqMatrix(q, [(5, 9), (14, 3), (4, 15)]),
@@ -201,7 +198,6 @@ def _example_3() -> ExampleFixture:
             (3, 5, 6, 9, 16, 7, 9, 1, 14, 10),
         ],
     )
-    g = assemble_generator(params, [g1, g2, g3])
     pi = _pi_from_table(
         {
             8: 1, 14: 2, 17: 3, 22: 4, 19: 5, 16: 6, 13: 7, 3: 8,
@@ -220,7 +216,7 @@ def _example_3() -> ExampleFixture:
         name="example 3",
         params=params,
         demand=demand,
-        query=Query(G=g, pi=pi),
+        query=Query((g1, g2), g3, pi),
         secret=secret,
         expected={
             "lam": FqMatrix(

@@ -165,15 +165,37 @@ class Demand:
 
 @dataclass(frozen=True)
 class Query:
-    """What the server sees: the generator matrix G and the permutation pi.
+    """What the server sees: the generator's diagonal blocks and the permutation pi.
 
-    pi[i] is the position of message i in the permuted ordering; the server
-    applies G to the permuted message matrix.  Queries are wire-decodable
-    data and are validated by decoders and audits, not on construction.
+    G is block-diagonal: the n decoy blocks (L x D each) followed by the
+    trailing block, each starting where the previous one ends in rows and
+    columns.  pi[i] is the position of message i in the permuted ordering;
+    the server applies G to the permuted message matrix.  Queries are
+    wire-decodable data and are validated by decoders and audits, not on
+    construction.
     """
 
-    G: FqMatrix
+    blocks: tuple[FqMatrix, ...]
+    trailing: FqMatrix
     pi: tuple[int, ...]
+
+    @property
+    def q(self) -> int:
+        return self.trailing.q
+
+    @property
+    def G(self) -> FqMatrix:
+        """The dense generator, assembled from the blocks on every access."""
+        blocks = (*self.blocks, self.trailing)
+        width = sum(blk.cols for blk in blocks)
+        g_rows = [[0] * width for _ in range(sum(blk.rows for blk in blocks))]
+        row = col = 0
+        for blk in blocks:
+            for u, entries in enumerate(blk.data):
+                g_rows[row + u][col : col + blk.cols] = entries
+            row += blk.rows
+            col += blk.cols
+        return FqMatrix(self.q, g_rows, cols=width)
 
 
 @dataclass(frozen=True)
@@ -438,7 +460,6 @@ def build_query(
     else:
         trailing = random_grs(q, L + R, D + R, rng)
 
-    g = assemble_generator(params, [*diag, trailing])
     demand_pos = demand_positions(params, b, k_idx=k_idx, l_idx=l_idx, h=h)
 
     used = set(demand_pos)
@@ -465,26 +486,7 @@ def build_query(
         h=h,
         trailing=trailing if b == n else None,
     )
-    return Query(g, tuple(pi)), secret
-
-
-def assemble_generator(params: ProtocolParams, blocks: Sequence[FqMatrix]) -> FqMatrix:
-    """G from its diagonal blocks: block i starts at row i*L and column i*D.
-
-    blocks are the n L x D blocks followed by the trailing block.
-    """
-    D, L, K = params.D, params.L, params.K
-    g_rows = [[0] * K for _ in range(params.answer_rows)]
-    for i, blk in enumerate(blocks):
-        for u, row in enumerate(blk.data):
-            g_rows[i * L + u][i * D : i * D + blk.cols] = row
-    return FqMatrix(params.q, g_rows, cols=K)
-
-
-def trailing_block(query: Query, params: ProtocolParams) -> FqMatrix:
-    """The trailing generator block: G's rows from n*L on, over its last D + R columns."""
-    g, n = query.G, params.n
-    return g.take_rows(range(n * params.L, g.rows)).take_cols(range(n * params.D, g.cols))
+    return Query(tuple(diag), trailing, tuple(pi)), secret
 
 
 def aligned_combination(
@@ -523,25 +525,33 @@ def embedding_transform(
     return ut.transpose(), t_mat
 
 
-def composed_generator(query: Query) -> FqMatrix:
-    """G with the permutation folded in: column i is G's column pi[i]."""
-    g, pi = query.G, query.pi
-    if g.cols != len(pi):
-        raise ShapeError(f"G has {g.cols} columns but pi covers {len(pi)} messages")
-    return FqMatrix(
-        g.q,
-        [[row[p] for p in pi] for row in g.data],
-        cols=len(pi),
-    )
-
-
 def answer(query: Query, x: FqMatrix) -> Answer:
-    """Server side: apply the query to the message matrix X (K x N)."""
-    if x.rows != len(query.pi):
-        raise ShapeError(f"store has {x.rows} messages, query expects {len(query.pi)}")
-    if x.q != query.G.q:
-        raise ShapeError(f"store over GF({x.q}), query over GF({query.G.q})")
-    return Answer(composed_generator(query).mul(x))
+    """Server side: apply the query to the message matrix X (K x N).
+
+    Each block multiplies the rows of X whose permuted positions fall in its
+    columns, so the cost is O(nnz(G) * N) and dense G is never built.
+    """
+    pi = query.pi
+    if x.rows != len(pi):
+        raise ShapeError(f"store has {x.rows} messages, query expects {len(pi)}")
+    if x.q != query.q:
+        raise ShapeError(f"store over GF({x.q}), query over GF({query.q})")
+    blocks = (*query.blocks, query.trailing)
+    width = sum(blk.cols for blk in blocks)
+    if width != len(pi):
+        raise ShapeError(f"G has {width} columns but pi covers {len(pi)} messages")
+    inv = [0] * len(pi)
+    for msg, pos in enumerate(pi):
+        inv[pos] = msg
+    q = x.q
+    permuted = [[column[m] for m in inv] for column in zip(*x.data)]
+    rows: list[list[int]] = []
+    col = 0
+    for blk in blocks:
+        segments = [column[col : col + blk.cols] for column in permuted]
+        rows += [[sum(a * b for a, b in zip(r, s)) % q for s in segments] for r in blk.data]
+        col += blk.cols
+    return Answer(FqMatrix(q, rows, cols=x.cols))
 
 
 def recover(

@@ -59,17 +59,25 @@ def pack_entries(m: FqMatrix) -> bytes:
 
 
 def unpack_entries(
-    data: bytes, offset: int, rows: int, cols: int, q: int, error: type, what: str
+    data: bytes,
+    offset: int,
+    rows: int,
+    cols: int,
+    q: int,
+    error: type,
+    what: str,
+    width: int = 8,
 ) -> FqMatrix:
-    """Read a rows x cols matrix of 8-byte little-endian entries starting at offset.
+    """Read a rows x cols matrix of little-endian entries, width (4 or 8)
+    bytes each, starting at offset.
 
     The first entry that is not below q raises error, naming the entry as
     what and giving its byte offset in data.
     """
-    flat = struct.unpack_from(f"<{rows * cols}Q", data, offset)
+    flat = struct.unpack_from(f"<{rows * cols}{'I' if width == 4 else 'Q'}", data, offset)
     if flat and max(flat) >= q:
         idx = next(i for i, v in enumerate(flat) if v >= q)
-        raise error(f"{what} {flat[idx]} at byte offset {offset + idx * 8} is not below q={q}")
+        raise error(f"{what} {flat[idx]} at byte offset {offset + idx * width} is not below q={q}")
     return FqMatrix(q, [flat[i * cols : (i + 1) * cols] for i in range(rows)], cols=cols)
 
 

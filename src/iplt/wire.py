@@ -1,10 +1,12 @@
 """Length-prefixed binary framing and the TCP answer service.
 
 Frame: 4-byte little-endian length (payload size + 1), 1 kind byte
-(0x01 query, 0x02 answer, 0xFF error), then the payload.  Query payload:
-q (8 LE) + K (4 LE) + rows (4 LE) + generator entries row-major (8 LE each)
-+ the permutation as K 4-byte LE values.  Answer payload: rows (4 LE) +
-N (4 LE) + entries (8 LE each).  Frames above 64 MiB are rejected.
+(0x03 query, 0x02 answer, 0xFF error), then the payload.  Query payload:
+q, K, n, L, D, trailing rows and trailing cols (4 LE each), the n decoy
+L x D blocks and then the trailing block, row-major (4 LE per entry), and
+the permutation as K 4-byte LE values.  Answer payload: rows (4 LE) +
+N (4 LE) + entries (8 LE each).  Frames above 64 MiB are rejected.  The
+dense v1 query (kind 0x01) is no longer accepted.
 
 The server side only ever touches the query and the stored matrix; one
 request per connection, handled concurrently over a read-only store.
@@ -30,12 +32,12 @@ from .errors import (
 from .protocol import Answer, Query, answer
 from .store import MessageStore, pack_entries, unpack_entries
 
-KIND_QUERY = 0x01
+KIND_QUERY = 0x03
 KIND_ANSWER = 0x02
 KIND_ERROR = 0xFF
 MAX_FRAME = 64 * 1024 * 1024
 
-_QUERY_HEAD = struct.Struct("<QII")
+_QUERY_HEAD = struct.Struct("<7I")
 _ANSWER_HEAD = struct.Struct("<II")
 
 
@@ -43,12 +45,14 @@ _ANSWER_HEAD = struct.Struct("<II")
 
 
 def encode_query(query: Query) -> bytes:
-    """Serialize (G, pi); the field order is carried in the payload."""
-    g = query.G
-    k = len(query.pi)
-    return b"".join(
-        [_QUERY_HEAD.pack(g.q, k, g.rows), pack_entries(g), struct.pack(f"<{k}I", *query.pi)]
-    )
+    """Serialize the blocks and pi; the field order is carried in the payload."""
+    blocks, trailing, k = query.blocks, query.trailing, len(query.pi)
+    L, D = (blocks[0].rows, blocks[0].cols) if blocks else (0, 0)
+    if any((blk.rows, blk.cols) != (L, D) for blk in blocks):
+        raise ShapeError("decoy blocks differ in shape")
+    head = _QUERY_HEAD.pack(query.q, k, len(blocks), L, D, trailing.rows, trailing.cols)
+    entries = [v for blk in (*blocks, trailing) for row in blk.data for v in row]
+    return head + struct.pack(f"<{len(entries) + k}I", *entries, *query.pi)
 
 
 def decode_query(payload: bytes) -> Query:
@@ -57,20 +61,31 @@ def decode_query(payload: bytes) -> Query:
         raise MalformedPayload(
             f"query payload has {len(payload)} bytes, header needs {_QUERY_HEAD.size}"
         )
-    q, k, rows = _QUERY_HEAD.unpack_from(payload, 0)
+    q, k, n, L, D, t_rows, t_cols = _QUERY_HEAD.unpack_from(payload, 0)
     if q < 2 or q > 2**31:
         raise MalformedPayload(f"field order {q} out of range at offset 0")
     if k == 0:
-        raise MalformedPayload("zero message count at offset 8")
-    expected = _QUERY_HEAD.size + rows * k * 8 + k * 4
-    if len(payload) != expected:
+        raise MalformedPayload("zero message count at offset 4")
+    if not 1 <= t_rows <= t_cols or (n and not 1 <= L <= D):
         raise MalformedPayload(
-            f"query payload has {len(payload)} bytes, structure requires {expected}"
+            f"block shapes {L}x{D} and {t_rows}x{t_cols} at offset 12 need 1 <= rows <= cols"
         )
-    g = unpack_entries(
-        payload, _QUERY_HEAD.size, rows, k, q, MalformedPayload, "generator entry"
-    )
-    pi_off = _QUERY_HEAD.size + rows * k * 8
+    if n * D + t_cols != k:
+        raise MalformedPayload(
+            f"{n} blocks of width {D} and a trailing width of {t_cols} do not tile K={k}"
+        )
+    pi_off = _QUERY_HEAD.size + (n * L * D + t_rows * t_cols) * 4
+    if len(payload) != pi_off + k * 4:
+        raise MalformedPayload(
+            f"query payload has {len(payload)} bytes, structure requires {pi_off + k * 4}"
+        )
+    blocks = []
+    off = _QUERY_HEAD.size
+    for rows, cols in [(L, D)] * n + [(t_rows, t_cols)]:
+        blocks.append(
+            unpack_entries(payload, off, rows, cols, q, MalformedPayload, "generator entry", 4)
+        )
+        off += rows * cols * 4
     pi = struct.unpack_from(f"<{k}I", payload, pi_off)
     seen = set()
     for idx, p in enumerate(pi):
@@ -80,7 +95,7 @@ def decode_query(payload: bytes) -> Query:
         if p in seen:
             raise MalformedPayload(f"duplicate permutation value {p} at offset {off}")
         seen.add(p)
-    return Query(G=g, pi=tuple(pi))
+    return Query(tuple(blocks[:-1]), blocks[-1], tuple(pi))
 
 
 def encode_answer(ans: Answer) -> bytes:
@@ -107,12 +122,13 @@ def decode_answer(payload: bytes, q: int) -> Answer:
 
 def to_debug_json(query: Query) -> str:
     """Human-inspectable JSON rendering of a query; the binary format is the contract."""
+    g = query.G
     doc = {
         "kind": "query",
-        "q": query.G.q,
+        "q": g.q,
         "K": len(query.pi),
-        "rows": query.G.rows,
-        "G": [list(r) for r in query.G.data],
+        "rows": g.rows,
+        "G": [list(r) for r in g.data],
         "pi": list(query.pi),
     }
     return json.dumps(doc, sort_keys=True)
@@ -178,10 +194,8 @@ class _AnswerHandler(socketserver.BaseRequestHandler):
         try:
             query = decode_query(payload)
             store = self.server.store
-            if query.G.q != store.q:
-                raise ShapeError(
-                    f"query over GF({query.G.q}), store over GF({store.q})"
-                )
+            if query.q != store.q:
+                raise ShapeError(f"query over GF({query.q}), store over GF({store.q})")
             ans = answer(query, store.X)
         except IpltError as exc:
             self._reply_error(exc)
@@ -248,7 +262,7 @@ def fetch(endpoint: str, query: Query, timeout: float = 30.0) -> Answer:
         send_frame(sock, KIND_QUERY, encode_query(query))
         kind, payload = recv_frame(sock)
     if kind == KIND_ANSWER:
-        return decode_answer(payload, query.G.q)
+        return decode_answer(payload, query.q)
     if kind == KIND_ERROR:
         text = payload.decode("utf-8", errors="replace")
         name, sep, message = text.partition(": ")

@@ -8,6 +8,7 @@ package under test, so agreement between the two is meaningful evidence.
 from __future__ import annotations
 
 import itertools
+import struct
 from fractions import Fraction
 
 
@@ -141,3 +142,21 @@ def exact_posterior(candidates, index: int) -> Fraction:
         if index in support:
             total += weight
     return total
+
+
+def v1_query_payload(query) -> bytes:
+    """The retired dense v1 query payload of a query, for golden digests.
+
+    q (8 LE), K (4 LE) and the generator's row count (4 LE), then dense G
+    row-major in 8-byte LE entries, then pi as K 4-byte LE words.
+    """
+    g = query.G
+    k = len(query.pi)
+    entries = [v for row in g.data for v in row]
+    return b"".join(
+        [
+            struct.pack("<QII", g.q, k, g.rows),
+            struct.pack(f"<{len(entries)}Q", *entries),
+            struct.pack(f"<{k}I", *query.pi),
+        ]
+    )

@@ -41,7 +41,6 @@ from iplt.protocol import (
     build_query,
     derive_params,
     recover,
-    trailing_block,
 )
 from iplt.store import MessageStore, store_load, store_save
 from iplt.wire import decode_answer, decode_query, encode_answer, encode_query, fetch, serve
@@ -310,7 +309,7 @@ def test_criterion_7_feasibility_totality(capfd):
         demand = Demand.random(params, rng)
         query, secret = build_query(demand, params, rng)
         sweep = alignment_feasibility_sweep(
-            trailing_block(query, params), params, secret.cauchy_x, secret.cauchy_y
+            query.trailing, params, secret.cauchy_x, secret.cauchy_y
         )
         total = math.comb(params.t + params.m, params.t + 1)
         if not (sweep.ok and sweep.total == total and sweep.feasible == total):
@@ -346,7 +345,7 @@ def test_criterion_7_feasibility_totality(capfd):
                 redraws += 1
                 continue
             break
-        sweep = shortening_feasibility_sweep(trailing_block(query, params), params)
+        sweep = shortening_feasibility_sweep(query.trailing, params)
         total = math.comb(D + K % D, D)
         if not (sweep.ok and sweep.total == total and sweep.feasible == total):
             problems.append(

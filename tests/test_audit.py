@@ -1,5 +1,6 @@
 """Privacy and feasibility audits on the pinned fixtures and corruptions."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -9,13 +10,14 @@ from iplt import (
     BadShape,
     Demand,
     FqMatrix,
-    Query,
     ShapeError,
+    SupportCandidate,
     alignment_feasibility_sweep,
     audit_individual_privacy,
     candidate_supports,
     derive_params,
     example_fixture,
+    hstack,
     shortening_feasibility_sweep,
 )
 
@@ -57,7 +59,7 @@ def test_candidate_supports_rejects_non_bijection():
     pi = list(fx.query.pi)
     pi[0] = pi[1]
     with pytest.raises(BadShape):
-        candidate_supports(Query(G=fx.query.G, pi=tuple(pi)), fx.params)
+        candidate_supports(dataclasses.replace(fx.query, pi=tuple(pi)), fx.params)
 
 
 def test_posterior_matches_oracle():
@@ -102,7 +104,7 @@ def test_audit_flags_non_bijection():
     fx = example_fixture(1)
     pi = list(fx.query.pi)
     pi[3] = pi[4]
-    report = audit_individual_privacy(Query(G=fx.query.G, pi=tuple(pi)), fx.params)
+    report = audit_individual_privacy(dataclasses.replace(fx.query, pi=tuple(pi)), fx.params)
     assert not report.ok
     assert any("bijection" in e for e in report.structure_errors)
     assert report.candidate_count == 0
@@ -120,18 +122,20 @@ def test_audit_flags_cross_block_swap():
     )
     pi = list(query.pi)
     pi[w0], pi[outside] = pi[outside], pi[w0]
-    report = audit_individual_privacy(Query(G=query.G, pi=tuple(pi)), fx.params, fx.demand)
+    report = audit_individual_privacy(
+        dataclasses.replace(query, pi=tuple(pi)), fx.params, fx.demand
+    )
     assert not report.ok
     assert report.true_support_found is False
     assert any("true demand support" in e for e in report.structure_errors)
 
 
 def test_audit_flags_generator_support_leak():
-    """An off-block nonzero generator entry is a structural violation."""
+    """A decoy block reaching past its columns is a structural violation."""
     fx = example_fixture(1)
-    rows = fx.query.G.to_rows()
-    rows[0][10] = 5
-    bad = Query(G=FqMatrix(Q, rows), pi=fx.query.pi)
+    blocks = fx.query.blocks
+    wide = hstack([blocks[0], FqMatrix(Q, [[5], [0]])])
+    bad = dataclasses.replace(fx.query, blocks=(wide, *blocks[1:]))
     report = audit_individual_privacy(bad, fx.params, fx.demand)
     assert not report.ok
     assert any("outside its columns" in e for e in report.structure_errors)
@@ -140,9 +144,9 @@ def test_audit_flags_generator_support_leak():
 def test_audit_flags_trailing_leak():
     """A trailing row reaching into decoy columns is a violation."""
     fx = example_fixture(2)
-    rows = fx.query.G.to_rows()
-    rows[-1][0] = 3
-    bad = Query(G=FqMatrix(Q, rows), pi=fx.query.pi)
+    trailing = fx.query.trailing
+    leak = FqMatrix(Q, [[0]] * (trailing.rows - 1) + [[3]])
+    bad = dataclasses.replace(fx.query, trailing=hstack([leak, trailing]))
     report = audit_individual_privacy(bad, fx.params, fx.demand)
     assert not report.ok
     assert any("trailing block" in e for e in report.structure_errors)
@@ -151,10 +155,36 @@ def test_audit_flags_trailing_leak():
 def test_audit_flags_wrong_generator_shape():
     """A generator with the wrong row count is reported."""
     fx = example_fixture(1)
-    bad = Query(G=fx.query.G.take_rows(range(4)), pi=fx.query.pi)
+    bad = dataclasses.replace(fx.query, trailing=fx.query.trailing.take_rows(range(1)))
     report = audit_individual_privacy(bad, fx.params, fx.demand)
     assert not report.ok
     assert any("expected" in e for e in report.structure_errors)
+
+
+def test_audit_reports_exact_posterior_violations(monkeypatch):
+    """Weight moved between two candidates shows up as exact violations."""
+    import iplt.audit
+
+    fx = example_fixture(1)
+    honest = candidate_supports(fx.query, fx.params)
+    shift = Fraction(1, 12)
+    skewed = [
+        SupportCandidate(honest[0].support, honest[0].weight + shift),
+        SupportCandidate(honest[1].support, honest[1].weight - shift),
+        *honest[2:],
+    ]
+    monkeypatch.setattr(iplt.audit, "candidate_supports", lambda query, params: skewed)
+    report = audit_individual_privacy(fx.query, fx.params, fx.demand)
+
+    K, D = fx.params.K, fx.params.D
+    pairs = [(c.support, c.weight) for c in skewed]
+    want = [(i, exact_posterior(pairs, i)) for i in range(K)]
+    want = [(i, p) for i, p in want if p != Fraction(D, K)]
+    assert len(want) == 2 * D
+    assert report.posterior_violations == want
+    assert report.weight_total == sum((w for _, w in pairs), Fraction(0)) == 1
+    assert not report.ok and report.structure_errors == []
+    assert "posterior violation: index" in report.summary()
 
 
 def test_audit_random_queries_exact_posterior():

@@ -323,6 +323,25 @@ def test_sweep_rejects_nonpositive_dstep(capsys, dstep):
     assert err == f"error: BadShape: need --dstep >= 1, got {dstep}\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--K", "0", "--ratio", "1/2"], "need --K >= 1, got 0"),
+        (["--K", "-3", "--ratio", "1/2"], "need --K >= 1, got -3"),
+        (["--K", "10", "--ratio", "0"], "need 0 < --ratio <= 1, got 0"),
+        (["--K", "10", "--ratio=-1/2"], "need 0 < --ratio <= 1, got -1/2"),
+        (["--K", "10", "--ratio", "3"], "need 0 < --ratio <= 1, got 3"),
+    ],
+)
+def test_sweep_rejects_out_of_range_shape(capsys, argv, message):
+    """A K below 1 or a ratio outside (0, 1] exits 2 instead of printing a
+    table that checked nothing."""
+    rc, out, err = run_cli(capsys, ["sweep", *argv])
+    assert rc == 2
+    assert out == ""
+    assert err == f"error: BadShape: {message}\n"
+
+
 # -- serve / fetch --------------------------------------------------------
 
 

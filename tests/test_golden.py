@@ -4,6 +4,8 @@ The four shapes reach every branch of build_query: ParityEmbed with a GRS
 extension (planted) and with L == D (planted, no extension), AlignS with
 R > 0 (planted by GRS extension) and with R = 0, each also with decoy
 placements.  A digest change means a query, answer or recovery changed.
+The first digest hashes the retired dense v1 packing of each query, so it
+pins the query itself across wire formats; the last hashes the block payload.
 """
 
 import hashlib
@@ -11,9 +13,13 @@ import random
 
 import pytest
 
-from iplt.protocol import Demand, answer, build_query, derive_params, recover
+from iplt.audit import audit_individual_privacy
+from iplt.fixtures import example_fixture
+from iplt.protocol import Demand, Query, answer, build_query, derive_params, recover
 from iplt.store import MessageStore
-from iplt.wire import encode_answer, encode_query
+from iplt.wire import decode_query, encode_answer, encode_query, fetch, serve
+
+from oracles import v1_query_payload
 
 SEEDS = range(20)
 
@@ -22,28 +28,32 @@ GOLDEN = {
         "24a818ef30761604e5b09325c6372098eec440b16e56de1645e29c512e15766d",
         "7e7b149c99e8e2365b30027f5934d38bc1a18365a91d9c62c77c548a4e8fca96",
         "77b22f9e85e856d27b17e1d74b9ebabf9e7856895768fd64713c324d6572087f",
+        "fa6f3e706b011f122413ecfde7aa9e74a5d78ea84d5e15f1d2563ff43b72ba29",
     ),
     (24, 9, 2, 17, 2): (
         "895b7af20e18f5179dd9cfdd858e14ed5e33440848517e2587bedd15429599cb",
         "b14c8934babc782bbb9971438dda9e52bd040de07a51e017572398b755c8a778",
         "fa8b056354c4c9e4c0cfa2c077957f831bdfe52744faaca63f4bf5fec3f77dce",
+        "c67fae6c19a33c341d467fdbfa57ecfd89be9cff4cce284bf10f2ca7b831f996",
     ),
     (24, 8, 2, 31, 2): (
         "5cd8fa383f85fd963fa15d58fe83edb8d7c70a403f29d0b7a4ac20703e8b3c58",
         "50fab4dc424551685e1f59d583c5d4502885af74dd188d7b89283fa11638c14a",
         "926703d1044d770238efab73b90238a9b90e90c172ce4c4c9f5ed203ccc6881a",
+        "f585b9bd94ffea22520b7e69afc827d112208ae90f02713632d165a0cad5d713",
     ),
     (10, 3, 3, 17, 2): (
         "c266669498ea1971959fef53bff3fc21c598f901da2d97a7265ceebe6681d9d7",
         "d810895925f218c9e5d82270ba46e29730625aa640826e63e0c6248776c30b49",
         "199bb3cf65b452ea21662e7082aee1163e315cf0b03b70ada9ca3315a766c4fe",
+        "009d7947a64b954124a35f28e60e2e3b027c60109c71c95c1e0d8fc4efd23b0d",
     ),
 }
 
 
 def _digests(shape):
     params = derive_params(*shape)
-    hashes = [hashlib.sha256() for _ in range(3)]
+    hashes = [hashlib.sha256() for _ in range(4)]
     planted = set()
     for seed in SEEDS:
         rng = random.Random(seed)
@@ -54,15 +64,53 @@ def _digests(shape):
         rec = recover(ans, secret, params, demand)
         assert rec == demand.value(store.X)
         planted.add(secret.b == params.n)
-        hashes[0].update(encode_query(query))
+        hashes[0].update(v1_query_payload(query))
         hashes[1].update(encode_answer(ans))
         hashes[2].update(repr(rec.data).encode())
+        hashes[3].update(encode_query(query))
     return tuple(h.hexdigest() for h in hashes), planted
 
 
 @pytest.mark.parametrize("shape", sorted(GOLDEN), ids=lambda s: "K{}-D{}-L{}-q{}-N{}".format(*s))
 def test_seeded_round_trip_digests(shape):
-    """encode_query, encode_answer and recovered rows hash to pinned digests."""
+    """Queries, encode_answer, recovered rows and encode_query hash to pinned digests."""
     digests, planted = _digests(shape)
     assert planted == {True, False}, "seeds must reach both trailing and decoy placements"
     assert digests == GOLDEN[shape]
+
+
+def test_protocol_path_never_builds_dense_g(monkeypatch):
+    """Build, the wire codecs, answer (in process and over loopback), recover
+    and audit all work on the blocks: dense G is never assembled."""
+
+    def dense(query):
+        raise AssertionError("dense G was assembled")
+
+    monkeypatch.setattr(Query, "G", property(dense))
+    cases = []
+    for which in (1, 2, 3):
+        fx = example_fixture(which)
+        cases.append((fx.params, fx.demand, fx.query, fx.secret))
+    for shape in sorted(GOLDEN):
+        params = derive_params(*shape)
+        for seed in SEEDS:
+            rng = random.Random(seed)
+            demand = Demand.random(params, rng)
+            cases.append((params, demand, *build_query(demand, params, rng)))
+    stores = {}
+    for params, *_ in cases:
+        key = (params.q, params.K)
+        stores.setdefault(key, MessageStore.random(*key, 2, random.Random(params.K)))
+    for (q, k), store in stores.items():
+        with serve(store, "127.0.0.1:0") as srv:
+            srv.start_background()
+            for params, demand, query, secret in cases:
+                if (params.q, params.K) != (q, k):
+                    continue
+                decoded = decode_query(encode_query(query))
+                assert decoded == query
+                ans = answer(decoded, store.X)
+                assert fetch(srv.endpoint, query) == ans
+                assert recover(ans, secret, params, demand) == demand.value(store.X)
+                report = audit_individual_privacy(query, params, demand)
+                assert report.ok and report.true_support_found

@@ -26,7 +26,6 @@ from iplt import (
     build_query,
     capacity_lower,
     cauchy,
-    composed_generator,
     demand_positions,
     derive_params,
     example_fixture,
@@ -344,13 +343,14 @@ def test_build_query_structure():
             assert not any(g.data[u][: params.n * 4])
 
 
-def test_composed_generator_manual():
-    """Column i of the composed generator is G's column pi[i]."""
+def test_answer_permutes_generator_manual():
+    """Column i of the generator answer applies is G's column pi[i]."""
     g = FqMatrix(Q, [[1, 2, 3], [4, 5, 6]])
-    comp = composed_generator(Query(G=g, pi=(2, 0, 1)))
+    identity = FqMatrix(Q, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    comp = answer(Query((), g, (2, 0, 1)), identity).Y
     assert comp == FqMatrix(Q, [[3, 1, 2], [6, 4, 5]])
     with pytest.raises(ShapeError):
-        composed_generator(Query(G=g, pi=(0, 1)))
+        answer(Query((), g, (0, 1)), identity.take_rows([0, 1]))
 
 
 def test_answer_validation():

@@ -1,5 +1,6 @@
 """Binary store format, wire framing, and the TCP answer service."""
 
+import dataclasses
 import random
 import socket
 import struct
@@ -12,6 +13,7 @@ import iplt
 from iplt import (
     Answer,
     BadMagic,
+    Demand,
     EntryOutOfRange,
     FqMatrix,
     FrameTooLarge,
@@ -22,12 +24,16 @@ from iplt import (
     TruncatedFile,
     VersionUnsupported,
     answer,
+    audit_individual_privacy,
+    build_query,
     decode_answer,
     decode_query,
+    derive_params,
     encode_answer,
     encode_query,
     example_fixture,
     parse_endpoint,
+    recover,
     send_frame,
     serve,
     store_load,
@@ -35,6 +41,8 @@ from iplt import (
     to_debug_json,
 )
 from iplt.wire import KIND_ERROR, KIND_QUERY, MAX_FRAME, recv_frame
+
+from oracles import v1_query_payload
 
 Q = 17
 
@@ -120,15 +128,21 @@ def test_store_validates_construction():
 
 
 def test_query_payload_golden_size_and_roundtrip():
-    """The pinned embedding fixture serializes to exactly 1840 bytes."""
+    """The pinned embedding fixture serializes to exactly 436 bytes."""
     fx = example_fixture(3)
     payload = encode_query(fx.query)
-    assert len(payload) == 16 + 9 * 24 * 8 + 24 * 4 == 1840
+    # header, two 2x7 decoy blocks, the 5x10 trailing block, pi
+    assert len(payload) == 28 + 4 * (2 * 2 * 7 + 5 * 10) + 24 * 4 == 436
     back = decode_query(payload)
     assert back == fx.query
     for which in (1, 2):
         q = example_fixture(which).query
         assert decode_query(encode_query(q)) == q
+    uneven = dataclasses.replace(
+        fx.query, blocks=(fx.query.blocks[0], fx.query.blocks[1].take_cols(range(6)))
+    )
+    with pytest.raises(ShapeError):
+        encode_query(uneven)
 
 
 def test_decode_query_rejections():
@@ -142,22 +156,35 @@ def test_decode_query_rejections():
         decode_query(payload + b"\0")
 
     bad_q = bytearray(payload)
-    bad_q[0:8] = struct.pack("<Q", 1)
+    bad_q[0:4] = struct.pack("<I", 1)
     with pytest.raises(MalformedPayload):
         decode_query(bytes(bad_q))
 
     zero_k = bytearray(payload)
-    zero_k[8:12] = struct.pack("<I", 0)
+    zero_k[4:8] = struct.pack("<I", 0)
     with pytest.raises(MalformedPayload):
         decode_query(bytes(zero_k))
 
+    for field_off in (12, 20):  # decoy rows L, trailing rows
+        empty = bytearray(payload)
+        empty[field_off : field_off + 4] = struct.pack("<I", 0)
+        with pytest.raises(MalformedPayload) as exc:
+            decode_query(bytes(empty))
+        assert "1 <= rows <= cols" in str(exc.value)
+
+    untiled = bytearray(payload)
+    untiled[24:28] = struct.pack("<I", 7)
+    with pytest.raises(MalformedPayload) as exc:
+        decode_query(bytes(untiled))
+    assert "do not tile K=24" in str(exc.value)
+
     oor = bytearray(payload)
-    oor[16:24] = struct.pack("<Q", Q)
+    oor[28:32] = struct.pack("<I", Q)
     with pytest.raises(MalformedPayload) as exc:
         decode_query(bytes(oor))
-    assert "offset 16" in str(exc.value)
+    assert "offset 28" in str(exc.value)
 
-    pi_off = 16 + 6 * 24 * 8
+    pi_off = 28 + 3 * 2 * 8 * 4
     big_pi = bytearray(payload)
     big_pi[pi_off : pi_off + 4] = struct.pack("<I", 24)
     with pytest.raises(MalformedPayload):
@@ -289,15 +316,43 @@ def test_server_rejects_oversized_frame_header():
 
 
 def test_server_rejects_wrong_kind():
-    """A non-query frame draws a MalformedPayload error frame."""
+    """A non-query frame, the retired dense v1 query (kind 0x01) among them,
+    draws a MalformedPayload error frame."""
     store = MessageStore.random(Q, 4, 1, random.Random(0))
+    v1 = v1_query_payload(example_fixture(1).query)
     with _loopback(store) as srv:
         host, port = parse_endpoint(srv.endpoint)
-        with socket.create_connection((host, port), timeout=10) as sock:
-            send_frame(sock, 0x7E, b"junk")
-            kind, payload = recv_frame(sock)
-    assert kind == KIND_ERROR
-    assert payload.startswith(b"MalformedPayload")
+        for kind, body in ((0x7E, b"junk"), (0x01, v1)):
+            with socket.create_connection((host, port), timeout=10) as sock:
+                send_frame(sock, kind, body)
+                reply_kind, payload = recv_frame(sock)
+            assert reply_kind == KIND_ERROR
+            assert payload.startswith(b"MalformedPayload")
+
+
+def test_block_payload_round_trips_at_k20000():
+    """K = 20,000 round-trips over loopback in one frame.
+
+    The block payload grows linearly in K: here 28 + 4 * (n*L*D + trailing
+    entries) + 4*K = 480,028 bytes.  The dense v1 payload of the same query
+    would need 16 + 8 * 2000 * 20000 + 4 * 20000 = 320,080,016 bytes, over
+    the 64 MiB frame cap.
+    """
+    params = derive_params(20000, 50, 5, 65521)
+    rng = random.Random(20000)
+    demand = Demand.random(params, rng)
+    store = MessageStore.random(params.q, params.K, 1, rng)
+    query, secret = build_query(demand, params, rng)
+    payload = encode_query(query)
+    trailing = query.trailing
+    entries = params.n * params.L * params.D + trailing.rows * trailing.cols
+    assert len(payload) == 28 + 4 * entries + 4 * params.K
+    assert len(payload) + 1 <= MAX_FRAME
+    with _loopback(store) as srv:
+        ans = iplt.fetch(srv.endpoint, query)
+    assert recover(ans, secret, params, demand) == demand.value(store.X)
+    report = audit_individual_privacy(query, params, demand)
+    assert report.ok and report.true_support_found
 
 
 def test_concurrent_fetches():
