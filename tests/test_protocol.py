@@ -343,7 +343,7 @@ def test_build_query_structure():
             assert not any(g.data[u][: params.n * 4])
 
 
-def test_answer_permutes_generator_manual():
+def test_composed_generator_manual():
     """Column i of the generator answer applies is G's column pi[i]."""
     g = FqMatrix(Q, [[1, 2, 3], [4, 5, 6]])
     identity = FqMatrix(Q, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
