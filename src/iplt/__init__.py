@@ -83,10 +83,9 @@ from .audit import (
     FeasibilityReport,
     PrivacyReport,
     SupportCandidate,
-    alignment_feasibility_sweep,
     audit_individual_privacy,
     candidate_supports,
-    shortening_feasibility_sweep,
+    feasibility_sweep,
 )
 from .store import MessageStore, store_load, store_save
 from .wire import (

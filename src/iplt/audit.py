@@ -3,10 +3,11 @@
 Given only what the server sees (the query), enumerate every demand support
 the construction could have hidden, with its exact prior weight, and check
 that the posterior probability of each message index being demanded is
-exactly D/K.  Feasibility sweeps verify that every enumerable support is
-actually recoverable: alignment subsets combine to an MDS block in the
-AlignS case, and every shortened support of the trailing code passes the
-(k, l)-feasibility predicate in the ParityEmbed case.
+exactly D/K.  The feasibility sweep reads only the trailing block and checks
+that every trailing support the privacy audit enumerates is recoverable: the
+combinations of trailing rows that vanish off the support form an
+L-dimensional space that is MDS on it (shortening an MDS code).  The same
+check covers both cases.
 """
 
 from __future__ import annotations
@@ -15,19 +16,11 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Optional
 
-from .errors import AlignmentSingular, BadShape, ShapeError
-from .matrix import FqMatrix, cauchy, is_mds, right_null_space
-from .protocol import (
-    ALIGN_S,
-    PARITY_EMBED,
-    ProtocolParams,
-    Query,
-    aligned_combination,
-    alignment_coefficients,
-    slot_columns,
-)
+from .errors import BadShape, ShapeError
+from .matrix import FqMatrix, is_mds, right_null_space
+from .protocol import ALIGN_S, ProtocolParams, Query, slot_columns
 
 
 def trailing_support_count(params: ProtocolParams) -> int:
@@ -37,6 +30,18 @@ def trailing_support_count(params: ProtocolParams) -> int:
         assert params.t is not None and params.m is not None
         return math.comb(params.t + params.m, params.t + 1)
     return math.comb(params.D + params.R, params.D)
+
+
+def _trailing_supports(params: ProtocolParams) -> Iterable[tuple[int, ...]]:
+    """The trailing columns each trailing support covers, in the order of
+    trailing_support_count: each union of t+1 of the t+m width-S slots
+    (AlignS) or each D-subset of the D+R columns (ParityEmbed)."""
+    if params.case == ALIGN_S:
+        t, m = params.t, params.m
+        assert t is not None and m is not None
+        slots = itertools.combinations(range(t + m), t + 1)
+        return (tuple(slot_columns(params.S, sel)) for sel in slots)
+    return itertools.combinations(range(params.D + params.R), params.D)
 
 
 @dataclass(frozen=True)
@@ -67,14 +72,11 @@ def candidate_supports(query: Query, params: ProtocolParams) -> list[SupportCand
     block_w = Fraction(D, K)
     for j in range(n):
         out.append(SupportCandidate(frozenset(inv[j * D : (j + 1) * D]), block_w))
-    if params.case == ALIGN_S:
-        t, m, S = params.t, params.m, params.S
-        assert t is not None and m is not None
-        groups = [slot_columns(S, sel) for sel in itertools.combinations(range(t + m), t + 1)]
-    else:
-        groups = list(itertools.combinations(range(D + R), D))
     w = Fraction(D + R, K * trailing_support_count(params))
-    out += [SupportCandidate(frozenset(inv[n * D + p] for p in sel), w) for sel in groups]
+    out += [
+        SupportCandidate(frozenset(inv[n * D + p] for p in sel), w)
+        for sel in _trailing_supports(params)
+    ]
     return out
 
 
@@ -189,76 +191,25 @@ class FeasibilityReport:
         return self.total > 0 and self.feasible == self.total
 
 
-def alignment_feasibility_sweep(
-    trailing: FqMatrix,
-    params: ProtocolParams,
-    cauchy_x: Sequence[int],
-    cauchy_y: Sequence[int],
-) -> FeasibilityReport:
-    """Check every planted subset of an AlignS trailing block is recoverable.
+def feasibility_sweep(trailing: FqMatrix, params: ProtocolParams) -> FeasibilityReport:
+    """Check every trailing support the privacy audit enumerates is recoverable.
 
-    For each of the C(t+m, t+1) slot subsets: solve the alignment system,
-    combine the row blocks with the c coefficients, and require the result
-    to be supported exactly on the chosen column blocks with the surviving
-    L x D matrix MDS.  A fully feasible sweep means every candidate the
-    privacy audit enumerates is a demand the client could actually recover.
-    The MDS check per subset examines all C(D, L) maximal minors, so the
-    sweep cost is C(t+m, t+1) * C(D, L) determinants; budget accordingly.
+    For each support P: the combinations of trailing rows that vanish on
+    the columns outside P must form an L-dimensional space whose restriction
+    to P is MDS.  That is exactly the condition for some client to recover a
+    demand with an MDS coefficient matrix at P from this block (the T of
+    protocol.embedding_transform), in either case.  The MDS check per
+    support examines all C(D, L) maximal minors, so the sweep costs
+    trailing_support_count(params) * C(D, L) determinants; budget accordingly.
     """
-    if params.case != ALIGN_S:
-        raise BadShape(f"alignment sweep needs an AlignS shape, got {params.case}")
-    t, m, S, L, q = params.t, params.m, params.S, params.L, params.q
-    assert t is not None and m is not None
-    if trailing.rows != m * L or trailing.cols != (t + m) * S:
+    D, L = params.D, params.L
+    rows, width = params.answer_rows - params.n * L, D + params.R
+    if trailing.rows != rows or trailing.cols != width:
         raise ShapeError(
-            f"trailing block is {trailing.rows}x{trailing.cols}, "
-            f"expected {m * L}x{(t + m) * S}"
+            f"trailing block is {trailing.rows}x{trailing.cols}, expected {rows}x{width}"
         )
-    omega = cauchy(q, cauchy_x, cauchy_y)
     report = FeasibilityReport(total=trailing_support_count(params), feasible=0)
-    for sel in itertools.combinations(range(t + m), t + 1):
-        k_idx = tuple(j for j in sel if j < t)
-        l_idx = tuple(j for j in sel if j >= t)
-        try:
-            c = alignment_coefficients(q, t, k_idx, l_idx, omega)
-        except AlignmentSingular as exc:
-            report.failures.append((sel, f"alignment: {exc}"))
-            continue
-        combined = aligned_combination(trailing, params, l_idx, c)
-        mismatched = [
-            blk
-            for blk in range(t + m)
-            if any(row[p] for row in combined.data for p in slot_columns(S, [blk])) != (blk in sel)
-        ]
-        if mismatched:
-            report.failures.append((sel, f"support mismatch at block {mismatched[0]}"))
-            continue
-        if not is_mds(combined.take_cols(slot_columns(S, sel))):
-            report.failures.append((sel, "surviving block is not MDS"))
-            continue
-        report.feasible += 1
-    return report
-
-
-def shortening_feasibility_sweep(
-    trailing: FqMatrix,
-    params: ProtocolParams,
-) -> FeasibilityReport:
-    """Check every D-subset of a ParityEmbed trailing block is recoverable.
-
-    For each of the C(D+R, D) column subsets: the rows of the trailing code
-    vanishing on the complement must form an L-dimensional space whose
-    puncturing to the subset is MDS.  That is exactly the condition for the
-    subset to hide a recoverable demand with some MDS coefficient matrix.
-    """
-    if params.case != PARITY_EMBED:
-        raise BadShape(f"shortening sweep needs a ParityEmbed shape, got {params.case}")
-    D, R, L, q = params.D, params.R, params.L, params.q
-    width = D + R
-    if trailing.cols != width:
-        raise ShapeError(f"trailing block has {trailing.cols} columns, expected {width}")
-    report = FeasibilityReport(total=trailing_support_count(params), feasible=0)
-    for sel in itertools.combinations(range(width), D):
+    for sel in _trailing_supports(params):
         selset = set(sel)
         comp = [j for j in range(width) if j not in selset]
         vanishing = right_null_space(trailing.take_cols(comp).transpose())
@@ -267,9 +218,8 @@ def shortening_feasibility_sweep(
                 (sel, f"vanishing space has dimension {vanishing.rows}, expected {L}")
             )
             continue
-        punctured = vanishing.mul(trailing).take_cols(list(sel))
-        if not is_mds(punctured):
-            report.failures.append((sel, "punctured vanishing space is not MDS"))
+        if not is_mds(vanishing.mul(trailing).take_cols(sel)):
+            report.failures.append((sel, "vanishing space is not MDS on the support"))
             continue
         report.feasible += 1
     return report

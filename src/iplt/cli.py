@@ -18,12 +18,7 @@ import sys
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .audit import (
-    alignment_feasibility_sweep,
-    audit_individual_privacy,
-    shortening_feasibility_sweep,
-    trailing_support_count,
-)
+from .audit import audit_individual_privacy, feasibility_sweep, trailing_support_count
 from .bounds import capacity_upper, decimal6, ilp_bruteforce, rate_bounds, render_csv, sweep
 from .errors import BadShape, IpltError, NotMds
 from .field import check_field
@@ -40,7 +35,6 @@ from .protocol import (
     derive_params,
     embedding_transform,
     recover,
-    slot_columns,
     solve_alignment,
 )
 from .store import MessageStore, store_load
@@ -138,16 +132,13 @@ def _example_checks(fx: ExampleFixture) -> list[tuple[str, bool, str]]:
             "diagonal block b does not hold the shuffled coefficients",
         )
     elif params.case == ALIGN_S:
-        slots = slot_columns(params.S, [*secret.k_idx, *secret.l_idx])
         add(
             "demand block",
-            secret.c_matrix.take_cols(slots) == shuffled.V,
+            secret.c_matrix.take_cols(secret.h) == shuffled.V,
             "planted slots do not hold the shuffled coefficients",
         )
 
-    want_pos = demand_positions(
-        params, secret.b, k_idx=secret.k_idx, l_idx=secret.l_idx, h=secret.h
-    )
+    want_pos = demand_positions(params, secret.b, secret.h)
     got_pos = [query.pi[w] for w in shuffled.W]
     add(
         "placement",
@@ -175,15 +166,13 @@ def _example_checks(fx: ExampleFixture) -> list[tuple[str, bool, str]]:
         if "omega" in exp:
             omega = cauchy(q, secret.cauchy_x, secret.cauchy_y)
             add("cauchy table", omega == exp["omega"], "recomputed cauchy table differs")
+            t, S = params.t, params.S
+            slots = sorted({p // S for p in secret.h})
+            k_idx = [j for j in slots if j < t]
+            l_idx = [j for j in slots if j >= t]
             # Only the planted slots are pinned; the rng fills the others.
-            c2, alpha2 = solve_alignment(
-                q, params.t, params.m, secret.k_idx, secret.l_idx, omega, random.Random(0)
-            )
-            add(
-                "alignment coefficients",
-                c2 == exp["c"] and c2 == secret.c,
-                f"recomputed {c2}, pinned {exp['c']}",
-            )
+            c2, alpha2 = solve_alignment(q, t, params.m, k_idx, l_idx, omega, random.Random(0))
+            add("alignment coefficients", c2 == exp["c"], f"recomputed {c2}, pinned {exp['c']}")
             bad = [
                 (j, alpha2[j], want)
                 for j, want in exp["planted_alpha"].items()
@@ -201,14 +190,6 @@ def _example_checks(fx: ExampleFixture) -> list[tuple[str, bool, str]]:
                 trailing == secret.c_matrix,
                 "trailing block is not the unit-scaled coefficient matrix",
             )
-        fs = alignment_feasibility_sweep(
-            trailing, params, secret.cauchy_x, secret.cauchy_y
-        )
-        add(
-            "alignment sweep",
-            fs.ok,
-            f"{fs.feasible}/{fs.total} slot subsets feasible",
-        )
     else:
         lam = right_null_space(shuffled.V)
         lam_exp = exp["lam"]
@@ -247,12 +228,12 @@ def _example_checks(fx: ExampleFixture) -> list[tuple[str, bool, str]]:
             t_mat == exp["t_matrix"] and t_mat.mul(trailing) == u_mat,
             "recomputed recovery transform differs",
         )
-        fs = shortening_feasibility_sweep(trailing, params)
-        add(
-            "shortening sweep",
-            fs.ok,
-            f"{fs.feasible}/{fs.total} column subsets feasible",
-        )
+    fs = feasibility_sweep(trailing, params)
+    add(
+        "alignment sweep" if params.case == ALIGN_S else "shortening sweep",
+        fs.ok,
+        f"{fs.feasible}/{fs.total} trailing supports feasible",
+    )
     return checks
 
 
@@ -281,8 +262,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
     store = MessageStore.random(params.q, params.K, params.N, rng)
     print(f"store: {store.K} messages of {store.N} symbols over GF({store.q})")
     query, secret = build_query(demand, params, rng)
-    g = query.G
-    print(f"query: generator {g.rows}x{g.cols}, demand block {secret.b}")
+    print(f"query: generator {params.answer_rows}x{params.K}, demand block {secret.b}")
     ans = answer(query, store.X)
     print(f"answer: {ans.Y.rows} rows")
     report = audit_individual_privacy(query, params, demand)
@@ -310,26 +290,20 @@ def cmd_audit(args: argparse.Namespace) -> int:
     rng = random.Random(_resolve_seed(args))
     _print_params(params)
     enum = trailing_support_count(params)
-    work = enum * math.comb(params.D, params.L) if params.case == ALIGN_S else enum
+    work = enum * math.comb(params.D, params.L)
     do_sweep = work <= args.max_enum
     priv_ok = sweep_ok = 0
     failures: list[str] = []
     for trial in range(args.trials):
         demand = Demand.random(params, rng)
-        query, secret = build_query(demand, params, rng)
+        query, _ = build_query(demand, params, rng)
         report = audit_individual_privacy(query, params, demand)
         if report.ok and report.true_support_found is True:
             priv_ok += 1
         else:
             failures.append(f"trial {trial}: " + report.summary().replace("\n", "; "))
         if do_sweep:
-            trailing = query.trailing
-            if params.case == ALIGN_S:
-                fs = alignment_feasibility_sweep(
-                    trailing, params, secret.cauchy_x, secret.cauchy_y
-                )
-            else:
-                fs = shortening_feasibility_sweep(trailing, params)
+            fs = feasibility_sweep(query.trailing, params)
             if fs.ok:
                 sweep_ok += 1
             else:

@@ -24,6 +24,7 @@ from .protocol import (
     Query,
     _assemble_align_trailing,
     derive_params,
+    slot_columns,
 )
 
 
@@ -145,9 +146,7 @@ def _example_2() -> ExampleFixture:
         cauchy_y=y,
         alpha=alpha,
         c_matrix=c_matrix,
-        k_idx=(0,),
-        l_idx=(2, 4),
-        c=c,
+        h=tuple(slot_columns(params.S, (0, 2, 4))),
         trailing=trailing,
     )
     return ExampleFixture(

@@ -18,6 +18,9 @@ b; if b lands on the trailing block the construction branches:
 
 Both planted arrangements extend the demand's generalized Reed-Solomon
 (GRS) code, or its dual, by R fresh evaluation points (matrix.grs_extend).
+Either way the demand sits at trailing columns h, and the client recovers
+it with the one T that solves T @ trailing = U, where U is V placed at h
+(embedding_transform).
 
 All randomness flows through one random.Random instance, so a seed fully
 determines the query.
@@ -202,13 +205,13 @@ class Query:
 class ClientSecret:
     """Client-side state needed to recover the demand from the answer.
 
-    b is the 0-based block index where the demand was planted.  The AlignS
-    fields (cauchy_x, cauchy_y, alpha, c_matrix) are populated for every
-    AlignS query so the trailing block always has the same texture; k_idx,
-    l_idx and c only exist when the demand landed on the trailing block.
-    h is the ParityEmbed column-embedding set, and trailing is the trailing
-    generator block itself (kept when b lands on it; recovery needs it in
-    the ParityEmbed case).
+    Recovery reads b, shuffled, h and trailing.  b is the 0-based block
+    index where the demand was planted.  When b lands on the trailing block,
+    h holds the demand's columns inside it, in demand-column order (the
+    planted width-S slots for AlignS, the embedding set for ParityEmbed),
+    and trailing is the trailing block itself.  The AlignS records
+    (cauchy_x, cauchy_y, alpha, c_matrix) are filled for every AlignS query
+    and are kept for the pinned-example checks; recovery does not read them.
     """
 
     b: int
@@ -217,9 +220,6 @@ class ClientSecret:
     cauchy_y: Optional[tuple[int, ...]] = None
     alpha: Optional[tuple[int, ...]] = None
     c_matrix: Optional[FqMatrix] = None
-    k_idx: Optional[tuple[int, ...]] = None
-    l_idx: Optional[tuple[int, ...]] = None
-    c: Optional[tuple[int, ...]] = None
     h: Optional[tuple[int, ...]] = None
     trailing: Optional[FqMatrix] = None
 
@@ -352,29 +352,19 @@ def _assemble_align_trailing(
 
 
 def demand_positions(
-    params: ProtocolParams,
-    b: int,
-    k_idx: Optional[Sequence[int]] = None,
-    l_idx: Optional[Sequence[int]] = None,
-    h: Optional[Sequence[int]] = None,
+    params: ProtocolParams, b: int, h: Optional[Sequence[int]] = None
 ) -> list[int]:
     """Positions of the shuffled demand indices, in demand-column order.
 
-    Block b < n occupies its contiguous D positions.  On the trailing block
-    the AlignS case spreads the demand over the planted width-S slots (the
-    k slots first, then the l slots), while ParityEmbed places column j at
-    trailing offset h[j].
+    Block b < n occupies its contiguous D positions; on the trailing block
+    demand column j sits at trailing offset h[j].
     """
     D, n = params.D, params.n
     if b < n:
         return [b * D + j for j in range(D)]
-    if params.case == ALIGN_S:
-        if k_idx is None or l_idx is None:
-            raise BadShape("AlignS trailing placement needs k_idx and l_idx")
-        return [n * D + p for p in slot_columns(params.S, [*k_idx, *l_idx])]
     if h is None:
-        raise BadShape("ParityEmbed trailing placement needs h")
-    return [n * D + h[j] for j in range(D)]
+        raise BadShape("trailing placement needs h")
+    return [n * D + p for p in h]
 
 
 def _dual_multipliers(q: int, points: Sequence[int], mults: Sequence[int]) -> tuple[int, ...]:
@@ -420,9 +410,6 @@ def build_query(
     b = select_block(params, rng)
     diag = [shuffled.V if i == b else random_grs(q, L, D, rng) for i in range(n)]
 
-    k_idx: Optional[tuple[int, ...]] = None
-    l_idx: Optional[tuple[int, ...]] = None
-    c: Optional[tuple[int, ...]] = None
     h: Optional[tuple[int, ...]] = None
     cauchy_x: Optional[tuple[int, ...]] = None
     cauchy_y: Optional[tuple[int, ...]] = None
@@ -437,14 +424,14 @@ def build_query(
         omega = cauchy(q, cauchy_x, cauchy_y)
         if b == n:
             planted = sorted(rng.sample(range(t + m), t + 1))
-            k_idx = tuple(j for j in planted if j < t)
-            l_idx = tuple(j for j in planted if j >= t)
+            h = tuple(slot_columns(params.S, planted))
             if grs is None:
                 c_matrix = shuffled.V
             else:
-                positions = slot_columns(params.S, planted)
-                c_matrix = grs_extend(shuffled.V, points, mults, positions, D + R, rng)
-            c, alpha = solve_alignment(q, t, m, k_idx, l_idx, omega, rng)
+                c_matrix = grs_extend(shuffled.V, points, mults, h, D + R, rng)
+            k_idx = [j for j in planted if j < t]
+            l_idx = [j for j in planted if j >= t]
+            _, alpha = solve_alignment(q, t, m, k_idx, l_idx, omega, rng)
         else:
             c_matrix = random_grs(q, L, D + R, rng)
             alpha = tuple(rng.randrange(1, q) for _ in range(t + m))
@@ -460,7 +447,7 @@ def build_query(
     else:
         trailing = random_grs(q, L + R, D + R, rng)
 
-    demand_pos = demand_positions(params, b, k_idx=k_idx, l_idx=l_idx, h=h)
+    demand_pos = demand_positions(params, b, h)
 
     used = set(demand_pos)
     wset = set(shuffled.W)
@@ -480,38 +467,20 @@ def build_query(
         cauchy_y=cauchy_y,
         alpha=alpha,
         c_matrix=c_matrix,
-        k_idx=k_idx,
-        l_idx=l_idx,
-        c=c,
         h=h,
         trailing=trailing if b == n else None,
     )
     return Query(tuple(diag), trailing, tuple(pi)), secret
 
 
-def aligned_combination(
-    rows: FqMatrix, params: ProtocolParams, l_idx: Sequence[int], c: Sequence[int]
-) -> FqMatrix:
-    """The AlignS combination: sum_j c[j] times row block l_idx[j] - t of rows.
-
-    rows is the trailing block, or the rows of an answer from n*L on.
-    """
-    L, t = params.L, params.t
-    assert t is not None
-    select = [[0] * rows.rows for _ in range(L)]
-    for coef, l in zip(c, l_idx):
-        for u in range(L):
-            select[u][(l - t) * L + u] = coef
-    return FqMatrix(params.q, select, cols=rows.rows).mul(rows)
-
-
 def embedding_transform(
     v: FqMatrix, h: Sequence[int], trailing: FqMatrix
 ) -> tuple[FqMatrix, FqMatrix]:
-    """ParityEmbed recovery: (U, T) where U holds V's column j at trailing column
-    h[j] and zeros elsewhere, and T is the unique solution of T @ trailing = U.
+    """Trailing-block recovery: (U, T) where U holds V's column j at trailing
+    column h[j] and zeros elsewhere, and T solves T @ trailing = U.
 
-    Raises RecoveryInconsistent when no such T exists.
+    T is unique because both constructions give the trailing block full row
+    rank.  Raises RecoveryInconsistent when no such T exists.
     """
     where = {col: j for j, col in enumerate(h)}
     zero = (0,) * v.rows
@@ -562,10 +531,9 @@ def recover(
 ) -> FqMatrix:
     """Client side: extract V @ X_W from the answer.
 
-    Demand block b < n: the b-th L-row slice of Y.  AlignS trailing: the
-    c-weighted combination of the planted row blocks.  ParityEmbed trailing:
-    solve T @ trailing = U for the unique T (trailing has full row rank) and
-    apply it, where U embeds the shuffled V at the secret columns h.
+    Demand block b < n: the b-th L-row slice of Y.  Trailing block, in both
+    cases: solve T @ trailing = U for the unique T (trailing has full row
+    rank) and apply it, where U embeds the shuffled V at the secret columns h.
     """
     y = ans.Y
     L, n, q = params.L, params.n, params.q
@@ -578,10 +546,6 @@ def recover(
     b = secret.b
     if b < n:
         return y.take_rows(range(b * L, (b + 1) * L))
-    rest = y.take_rows(range(n * L, y.rows))
-    if params.case == ALIGN_S:
-        assert secret.l_idx is not None and secret.c is not None
-        return aligned_combination(rest, params, secret.l_idx, secret.c)
     assert secret.h is not None and secret.trailing is not None
     _, t_mat = embedding_transform(secret.shuffled.V, secret.h, secret.trailing)
-    return t_mat.mul(rest)
+    return t_mat.mul(y.take_rows(range(n * L, y.rows)))

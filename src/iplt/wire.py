@@ -9,7 +9,9 @@ N (4 LE) + entries (8 LE each).  Frames above 64 MiB are rejected.  The
 dense v1 query (kind 0x01) is no longer accepted.
 
 The server side only ever touches the query and the stored matrix; one
-request per connection, handled concurrently over a read-only store.
+request per connection, handled concurrently over a read-only store.  It
+refuses a query whose q or K differs from the store's before unpacking
+any block.
 """
 
 from __future__ import annotations
@@ -55,8 +57,9 @@ def encode_query(query: Query) -> bytes:
     return head + struct.pack(f"<{len(entries) + k}I", *entries, *query.pi)
 
 
-def decode_query(payload: bytes) -> Query:
-    """Parse and validate a query payload; offsets name the failing byte."""
+def _query_layout(payload: bytes) -> tuple[int, int, list[tuple[int, int]], int]:
+    """Validate a query header against the payload size without unpacking any
+    entry; returns (q, K, block shapes, offset of pi)."""
     if len(payload) < _QUERY_HEAD.size:
         raise MalformedPayload(
             f"query payload has {len(payload)} bytes, header needs {_QUERY_HEAD.size}"
@@ -79,9 +82,15 @@ def decode_query(payload: bytes) -> Query:
         raise MalformedPayload(
             f"query payload has {len(payload)} bytes, structure requires {pi_off + k * 4}"
         )
+    return q, k, [(L, D)] * n + [(t_rows, t_cols)], pi_off
+
+
+def decode_query(payload: bytes) -> Query:
+    """Parse and validate a query payload; offsets name the failing byte."""
+    q, k, shapes, pi_off = _query_layout(payload)
     blocks = []
     off = _QUERY_HEAD.size
-    for rows, cols in [(L, D)] * n + [(t_rows, t_cols)]:
+    for rows, cols in shapes:
         blocks.append(
             unpack_entries(payload, off, rows, cols, q, MalformedPayload, "generator entry", 4)
         )
@@ -192,11 +201,15 @@ class _AnswerHandler(socketserver.BaseRequestHandler):
             self._reply_error(MalformedPayload(f"unexpected frame kind {kind:#x}"))
             return
         try:
-            query = decode_query(payload)
+            # Refuse a query for another store before unpacking any block:
+            # decoding costs far more memory than the payload it reads.
+            q, k, _, _ = _query_layout(payload)
             store = self.server.store
-            if query.q != store.q:
-                raise ShapeError(f"query over GF({query.q}), store over GF({store.q})")
-            ans = answer(query, store.X)
+            if q != store.q:
+                raise ShapeError(f"query over GF({q}), store over GF({store.q})")
+            if k != store.K:
+                raise ShapeError(f"store has {store.K} messages, query expects {k}")
+            ans = answer(decode_query(payload), store.X)
         except IpltError as exc:
             self._reply_error(exc)
             return

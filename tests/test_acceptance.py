@@ -21,12 +21,7 @@ import time
 from fractions import Fraction
 from math import gcd
 
-from iplt.audit import (
-    alignment_feasibility_sweep,
-    audit_individual_privacy,
-    candidate_supports,
-    shortening_feasibility_sweep,
-)
+from iplt.audit import audit_individual_privacy, candidate_supports, feasibility_sweep
 from iplt.bounds import capacity_lower, capacity_upper, ilp_bruteforce, jplt_rate
 from iplt.cli import _example_checks
 from iplt.errors import CompletionFailed
@@ -308,9 +303,7 @@ def test_criterion_7_feasibility_totality(capfd):
         rng = random.Random((trial << 8) ^ 0xFEA5)
         demand = Demand.random(params, rng)
         query, secret = build_query(demand, params, rng)
-        sweep = alignment_feasibility_sweep(
-            query.trailing, params, secret.cauchy_x, secret.cauchy_y
-        )
+        sweep = feasibility_sweep(query.trailing, params)
         total = math.comb(params.t + params.m, params.t + 1)
         if not (sweep.ok and sweep.total == total and sweep.feasible == total):
             problems.append(
@@ -345,7 +338,7 @@ def test_criterion_7_feasibility_totality(capfd):
                 redraws += 1
                 continue
             break
-        sweep = shortening_feasibility_sweep(query.trailing, params)
+        sweep = feasibility_sweep(query.trailing, params)
         total = math.comb(D + K % D, D)
         if not (sweep.ok and sweep.total == total and sweep.feasible == total):
             problems.append(

@@ -12,13 +12,12 @@ from iplt import (
     FqMatrix,
     ShapeError,
     SupportCandidate,
-    alignment_feasibility_sweep,
     audit_individual_privacy,
     candidate_supports,
     derive_params,
     example_fixture,
+    feasibility_sweep,
     hstack,
-    shortening_feasibility_sweep,
 )
 
 from oracles import exact_posterior
@@ -208,9 +207,7 @@ def test_audit_random_queries_exact_posterior():
 def test_alignment_sweep_fixture_fully_feasible():
     """Every planted subset of the pinned AlignS trailing block works."""
     fx = example_fixture(2)
-    report = alignment_feasibility_sweep(
-        fx.secret.trailing, fx.params, fx.secret.cauchy_x, fx.secret.cauchy_y
-    )
+    report = feasibility_sweep(fx.secret.trailing, fx.params)
     assert report.total == 10
     assert report.ok, report.failures
 
@@ -221,31 +218,22 @@ def test_alignment_sweep_detects_corruption():
     rows = fx.secret.trailing.to_rows()
     for i in range(len(rows)):
         rows[i][0] = 0
-    report = alignment_feasibility_sweep(
-        FqMatrix(Q, rows), fx.params, fx.secret.cauchy_x, fx.secret.cauchy_y
-    )
+    report = feasibility_sweep(FqMatrix(Q, rows), fx.params)
     assert not report.ok
     assert report.failures
 
 
 def test_alignment_sweep_validation():
-    """Wrong case or wrong trailing shape raise the documented errors."""
-    fx2, fx3 = example_fixture(2), example_fixture(3)
-    with pytest.raises(BadShape):
-        alignment_feasibility_sweep(fx3.secret.trailing, fx3.params, (1,), (2,))
+    """A wrong trailing shape raises ShapeError."""
+    fx2 = example_fixture(2)
     with pytest.raises(ShapeError):
-        alignment_feasibility_sweep(
-            fx2.secret.trailing.take_rows(range(4)),
-            fx2.params,
-            fx2.secret.cauchy_x,
-            fx2.secret.cauchy_y,
-        )
+        feasibility_sweep(fx2.secret.trailing.take_rows(range(4)), fx2.params)
 
 
 def test_shortening_sweep_fixture_fully_feasible():
     """All 120 shortened supports of the pinned embedding block work."""
     fx = example_fixture(3)
-    report = shortening_feasibility_sweep(fx.secret.trailing, fx.params)
+    report = feasibility_sweep(fx.secret.trailing, fx.params)
     assert report.total == 120
     assert report.ok, report.failures[:3]
 
@@ -256,15 +244,13 @@ def test_shortening_sweep_detects_corruption():
     rows = fx.secret.trailing.to_rows()
     for i in range(len(rows)):
         rows[i][0] = 0
-    report = shortening_feasibility_sweep(FqMatrix(Q, rows), fx.params)
+    report = feasibility_sweep(FqMatrix(Q, rows), fx.params)
     assert not report.ok
     assert report.failures
 
 
 def test_shortening_sweep_validation():
-    """Wrong case or width raise the documented errors."""
-    fx2, fx3 = example_fixture(2), example_fixture(3)
-    with pytest.raises(BadShape):
-        shortening_feasibility_sweep(fx2.secret.trailing, fx2.params)
+    """A wrong trailing width raises ShapeError."""
+    fx3 = example_fixture(3)
     with pytest.raises(ShapeError):
-        shortening_feasibility_sweep(fx3.secret.trailing.take_cols(range(5)), fx3.params)
+        feasibility_sweep(fx3.secret.trailing.take_cols(range(5)), fx3.params)

@@ -91,6 +91,61 @@ def test_example_all_checks_pass(capsys, which, n_checks):
     assert lines[-1] == f"example {which}: PASS"
 
 
+_COMMON_CHECKS = [
+    "generator shape", "permutation", "coefficients mds", "shuffle", "demand block",
+    "placement", "round trip", "privacy audit",
+]
+# The (12, 5, 2, 17) audit transcript is pinned by test_audit_pass_with_sweep.
+TRANSCRIPTS = {
+    ("example", "1"): [
+        *(f"check {c}: ok" for c in _COMMON_CHECKS),
+        "check trailing scale: ok",
+        "check alignment sweep: ok",
+        "example 1: PASS",
+    ],
+    ("example", "2"): [
+        *(f"check {c}: ok" for c in _COMMON_CHECKS),
+        "check cauchy table: ok",
+        "check alignment coefficients: ok",
+        "check planted scalings: ok",
+        "check trailing display: ok",
+        "check alignment sweep: ok",
+        "example 2: PASS",
+    ],
+    ("example", "3"): [
+        *(f"check {c}: ok" for c in _COMMON_CHECKS if c != "demand block"),
+        "check shortening null space: ok",
+        "check parity embedding: ok",
+        "check parity mds: ok",
+        "check generator orthogonality: ok",
+        "check embedded demand: ok",
+        "check recovery transform: ok",
+        "check shortening sweep: ok",
+        "example 3: PASS",
+    ],
+    ("audit", "--K", "24", "--D", "9", "--L", "2", "--q", "17", "--trials", "5", "--seed", "1"): [
+        "params: K=24 D=9 L=2 q=17 case=AlignS answer_rows=8",
+        "privacy: 5/5 queries ok",
+        "feasibility: 5/5 trailing blocks fully feasible (10 supports each)",
+        "audit: PASS",
+    ],
+    ("audit", "--K", "30", "--D", "8", "--L", "2", "--q", "17", "--trials", "5", "--seed", "1"): [
+        "params: K=30 D=8 L=2 q=17 case=AlignS answer_rows=12",
+        "privacy: 5/5 queries ok",
+        "feasibility: skipped (980 exhaustive checks exceed --max-enum 512)",
+        "audit: PASS",
+    ],
+}
+
+
+@pytest.mark.parametrize("argv", sorted(TRANSCRIPTS), ids=" ".join)
+def test_cli_transcripts_pinned(capsys, argv):
+    """example and audit print exactly these lines: check names, order and counts."""
+    rc, out, _ = run_cli(capsys, list(argv))
+    assert rc == 0
+    assert out.splitlines() == TRANSCRIPTS[argv]
+
+
 # -- demo -----------------------------------------------------------------
 
 
@@ -188,7 +243,7 @@ def test_audit_skips_oversized_enumeration(capsys):
     assert out.splitlines() == [
         "params: K=24 D=7 L=2 q=17 case=ParityEmbed answer_rows=9",
         "privacy: 2/2 queries ok",
-        "feasibility: skipped (120 exhaustive checks exceed --max-enum 100)",
+        "feasibility: skipped (2520 exhaustive checks exceed --max-enum 100)",
         "audit: PASS",
     ]
 
@@ -210,6 +265,22 @@ def test_audit_counts_inner_minor_checks(capsys):
     assert lines[1] == "privacy: 1/1 queries ok"
     assert lines[2] == "feasibility: skipped (1961256 exhaustive checks exceed --max-enum 512)"
     assert lines[3] == "audit: PASS"
+
+
+@pytest.mark.parametrize(
+    "shape,extra,work",
+    [(("24", "7", "2", "17"), [], 2520), (("41", "20", "10", "41"), ["--trials", "1"], 3879876)],
+    ids=["K24-D7-L2", "K41-D20-L10"],
+)
+def test_audit_bounds_parity_embed_minor_checks(capsys, shape, extra, work):
+    """ParityEmbed sweeps count C(D, L) minors per support against --max-enum too."""
+    K, D, L, q = shape
+    rc, out, _ = run_cli(capsys, ["audit", "--K", K, "--D", D, "--L", L, "--q", q] + extra)
+    assert rc == 0
+    lines = out.splitlines()
+    assert "case=ParityEmbed" in lines[0]
+    assert lines[2] == f"feasibility: skipped ({work} exhaustive checks exceed --max-enum 512)"
+    assert lines[-1] == "audit: PASS"
 
 
 def test_audit_alignment_case(capsys):

@@ -14,6 +14,7 @@ import random
 import pytest
 
 from iplt.audit import audit_individual_privacy
+from iplt.cli import main
 from iplt.fixtures import example_fixture
 from iplt.protocol import Demand, Query, answer, build_query, derive_params, recover
 from iplt.store import MessageStore
@@ -80,13 +81,15 @@ def test_seeded_round_trip_digests(shape):
 
 
 def test_protocol_path_never_builds_dense_g(monkeypatch):
-    """Build, the wire codecs, answer (in process and over loopback), recover
-    and audit all work on the blocks: dense G is never assembled."""
+    """Build, the wire codecs, answer (in process and over loopback), recover,
+    audit and iplt demo all work on the blocks: dense G is never assembled."""
 
     def dense(query):
         raise AssertionError("dense G was assembled")
 
     monkeypatch.setattr(Query, "G", property(dense))
+    for which in ("9", "7"):
+        assert main(["demo", "--K", "24", "--D", which, "--L", "2", "--q", "17"]) == 0
     cases = []
     for which in (1, 2, 3):
         fx = example_fixture(which)

@@ -224,9 +224,7 @@ def test_demand_positions_match_fixture_permutations():
     for which in (1, 2, 3):
         fx = example_fixture(which)
         secret, params = fx.secret, fx.params
-        pos = demand_positions(
-            params, secret.b, k_idx=secret.k_idx, l_idx=secret.l_idx, h=secret.h
-        )
+        pos = demand_positions(params, secret.b, secret.h)
         assert [fx.query.pi[w] for w in secret.shuffled.W] == pos
 
 
@@ -430,15 +428,19 @@ def test_recover_validation():
 
 
 def test_recover_inconsistent_embedding():
-    """A corrupted embedding secret cannot solve the recovery system."""
-    params = derive_params(12, 5, 2, Q)
-    for seed in range(40):
-        rng = random.Random(seed)
-        demand = Demand.random(params, rng)
-        query, secret = build_query(demand, params, rng)
-        if secret.b != params.n:
-            continue
-        x = FqMatrix.random(Q, 12, 1, random.Random(seed))
+    """A corrupted embedding secret cannot solve the recovery system, on an
+    AlignS and on a ParityEmbed trailing block."""
+    for shape in ((24, 9, 2, Q), (12, 5, 2, Q)):
+        params = derive_params(*shape)
+        for seed in range(40):
+            rng = random.Random(seed)
+            demand = Demand.random(params, rng)
+            query, secret = build_query(demand, params, rng)
+            if secret.b == params.n:
+                break
+        else:
+            raise AssertionError(f"no trailing-block seed found at {shape}")
+        x = FqMatrix.random(Q, params.K, 1, random.Random(seed))
         rows = secret.shuffled.V.to_rows()
         rows[0][0] = (rows[0][0] + 1) % Q
         bad = ClientSecret(
@@ -449,8 +451,6 @@ def test_recover_inconsistent_embedding():
         )
         with pytest.raises(RecoveryInconsistent):
             recover(answer(query, x), bad, params, demand)
-        return
-    raise AssertionError("no trailing-block seed found")
 
 
 def test_fixture_roundtrips_in_process():

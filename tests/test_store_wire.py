@@ -290,16 +290,22 @@ def test_loopback_fetch_matches_in_process():
         assert encode_answer(got) == encode_answer(local)
 
 
-def test_fetch_remote_errors_map_to_package_exceptions():
-    """Server-side failures surface as the matching exception type."""
+def test_fetch_remote_errors_map_to_package_exceptions(monkeypatch):
+    """Server-side failures surface as the matching exception type.  The
+    server refuses a wrong K or q before it decodes any block."""
+
+    def refuse(payload):
+        raise AssertionError("the query was decoded before its shape was checked")
+
+    monkeypatch.setattr(iplt.wire, "decode_query", refuse)
     fx = example_fixture(1)
     small = MessageStore.random(Q, 10, 1, random.Random(0))
     with _loopback(small) as srv:
-        with pytest.raises(ShapeError):
+        with pytest.raises(ShapeError, match="^store has 10 messages, query expects 24$"):
             iplt.fetch(srv.endpoint, fx.query)
     other_field = MessageStore.random(19, 24, 1, random.Random(0))
     with _loopback(other_field) as srv:
-        with pytest.raises(ShapeError):
+        with pytest.raises(ShapeError, match=r"^query over GF\(17\), store over GF\(19\)$"):
             iplt.fetch(srv.endpoint, fx.query)
 
 
