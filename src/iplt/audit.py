@@ -20,7 +20,14 @@ from typing import Iterable, Optional
 
 from .errors import BadShape, ShapeError
 from .matrix import FqMatrix, is_mds, right_null_space
-from .protocol import ALIGN_S, ProtocolParams, Query, slot_columns
+from .protocol import (
+    ALIGN_S,
+    ProtocolParams,
+    Query,
+    inverse_permutation,
+    is_permutation,
+    slot_columns,
+)
 
 
 def trailing_support_count(params: ProtocolParams) -> int:
@@ -63,11 +70,9 @@ def candidate_supports(query: Query, params: ProtocolParams) -> list[SupportCand
     """
     K, D, R, n = params.K, params.D, params.R, params.n
     pi = query.pi
-    if len(pi) != K or sorted(pi) != list(range(K)):
+    if len(pi) != K or not is_permutation(pi):
         raise BadShape("query permutation is not a bijection on [0, K)")
-    inv = [0] * K
-    for msg, pos in enumerate(pi):
-        inv[pos] = msg
+    inv = inverse_permutation(pi)
     out: list[SupportCandidate] = []
     block_w = Fraction(D, K)
     for j in range(n):
@@ -125,8 +130,12 @@ def audit_individual_privacy(query, params: ProtocolParams, demand=None) -> Priv
     """
     K, D, L, n = params.K, params.D, params.L, params.n
     errors: list[str] = []
-    pi = query.pi
-    if len(pi) != K or sorted(pi) != list(range(K)):
+    # candidate_supports checks the bijection, and that is the only BadShape it raises.
+    cands: Optional[list[SupportCandidate]]
+    try:
+        cands = candidate_supports(query, params)
+    except BadShape:
+        cands = None
         errors.append("permutation is not a bijection")
     if len(query.blocks) != n:
         errors.append(f"generator has {len(query.blocks)} decoy blocks, expected {n}")
@@ -143,12 +152,11 @@ def audit_individual_privacy(query, params: ProtocolParams, demand=None) -> Priv
             f"trailing block has {trailing.rows} rows, expected {params.answer_rows - n * L}"
         )
     expected = Fraction(D, K)
-    if errors and "permutation is not a bijection" in errors:
+    if cands is None:
         return PrivacyReport(
             ok=False, K=K, D=D, case=params.case, candidate_count=0,
             weight_total=Fraction(0), expected=expected, structure_errors=errors,
         )
-    cands = candidate_supports(query, params)
     # Posteriors are summed as integer numerators over the weights' common
     # denominator: Fraction additions per support entry used to dominate the
     # audit's time.  Fractions are built only for the reported values.

@@ -10,6 +10,7 @@ and multipliers, and GRS extension around pinned columns.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from typing import Iterable, Optional, Sequence
 
@@ -23,25 +24,33 @@ from .errors import (
 
 
 class FqMatrix:
-    """Immutable dense matrix over GF(q); entries are ints in [0, q)."""
+    """Immutable dense matrix over GF(q); entries are ints in [0, q).
+
+    Entries must be of type int exactly: a float, a bool or a string is
+    rejected with ValueError rather than converted.  The checks run over
+    whole rows with builtins; entries are walked one by one only after a
+    check has failed, to name the offending entry.
+    """
 
     __slots__ = ("q", "rows", "cols", "data")
 
     def __init__(self, q: int, data: Iterable[Iterable[int]], cols: int | None = None):
-        rows_t = tuple(tuple(int(v) for v in row) for row in data)
+        rows_t = tuple(map(tuple, data))
         if rows_t:
             width = len(rows_t[0])
-            for row in rows_t:
-                if len(row) != width:
-                    raise ShapeError("rows have unequal lengths")
+            if len(set(map(len, rows_t))) != 1:
+                raise ShapeError("rows have unequal lengths")
             if cols is not None and cols != width:
                 raise ShapeError(f"declared cols={cols} but rows have {width}")
+            if width:
+                if set(map(type, itertools.chain.from_iterable(rows_t))) != {int}:
+                    bad = next(v for row in rows_t for v in row if type(v) is not int)
+                    raise ValueError(f"entry {bad!r} is a {type(bad).__name__}, not an int")
+                if min(map(min, rows_t)) < 0 or max(map(max, rows_t)) >= q:
+                    bad = next(v for row in rows_t for v in row if not 0 <= v < q)
+                    raise ValueError(f"entry {bad} not reduced mod {q}")
         else:
             width = 0 if cols is None else cols
-        for row in rows_t:
-            for v in row:
-                if not 0 <= v < q:
-                    raise ValueError(f"entry {v} not reduced mod {q}")
         self.q = q
         self.rows = len(rows_t)
         self.cols = width
@@ -92,15 +101,12 @@ class FqMatrix:
             raise ShapeError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
         q = self.q
         bt = other.transpose().data
-        out = [[sum(a * b for a, b in zip(row, col)) % q for col in bt] for row in self.data]
-        return FqMatrix(q, out if self.rows else [], cols=other.cols)
+        out = [[sum(map(operator.mul, row, col)) % q for col in bt] for row in self.data]
+        return FqMatrix(q, out, cols=other.cols)
 
     def transpose(self) -> "FqMatrix":
-        return FqMatrix(
-            self.q,
-            [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            cols=self.rows,
-        )
+        cols = zip(*self.data) if self.rows else [()] * self.cols
+        return FqMatrix(self.q, cols, cols=self.rows)
 
     # -- selection -----------------------------------------------------------
 
@@ -287,13 +293,14 @@ def grs_generator(
     mults = [m % q for m in multipliers]
     if len(pts) != n or len(set(pts)) != n:
         raise BadGrsParameters("points must be n distinct field elements")
-    if len(mults) != n or any(m == 0 for m in mults):
+    if len(mults) != n or 0 in mults:
         raise BadGrsParameters("multipliers must be n nonzero field elements")
-    return FqMatrix(
-        q,
-        [[(mults[j] * pow(pts[j], i, q)) % q for j in range(n)] for i in range(k)],
-        cols=n,
-    )
+    # Row i + 1 is row i times the points, entry by entry; row 0 is the
+    # multipliers themselves (p^0 = 1, also for p = 0).
+    rows = [mults]
+    for _ in range(k - 1):
+        rows.append([v * p % q for v, p in zip(rows[-1], pts)])
+    return FqMatrix(q, rows[:k], cols=n)
 
 
 def random_grs(q: int, k: int, n: int, rng: random.Random) -> FqMatrix:

@@ -28,7 +28,10 @@ determines the query.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -449,16 +452,13 @@ def build_query(
 
     demand_pos = demand_positions(params, b, h)
 
-    used = set(demand_pos)
-    wset = set(shuffled.W)
-    rest_msgs = [i for i in range(K) if i not in wset]
-    rest_pos = [p for p in range(K) if p not in used]
-    rng.shuffle(rest_pos)
-    pi = [0] * K
-    for j, msg in enumerate(shuffled.W):
-        pi[msg] = demand_pos[j]
-    for msg, pos in zip(rest_msgs, rest_pos):
-        pi[msg] = pos
+    # The positions the demand leaves free, shuffled, go to the other
+    # messages in ascending order.  Inserting each demand message's position
+    # at its own index, in ascending message order, then puts pi[msg] at msg.
+    pi = list(itertools.filterfalse(set(demand_pos).__contains__, range(K)))
+    rng.shuffle(pi)
+    for msg, pos in sorted(zip(shuffled.W, demand_pos)):
+        pi.insert(msg, pos)
 
     secret = ClientSecret(
         b=b,
@@ -494,11 +494,43 @@ def embedding_transform(
     return ut.transpose(), t_mat
 
 
+def is_permutation(pi: Sequence[int]) -> bool:
+    """Whether pi is a bijection on range(len(pi)), checked with builtins."""
+    k = len(pi)
+    return not pi or (len(set(pi)) == k and min(pi) >= 0 and max(pi) < k)
+
+
+def inverse_permutation(pi: Sequence[int]) -> list[int]:
+    """inv with inv[pi[i]] = i, for a permutation pi of range(len(pi))."""
+    inv = [0] * len(pi)
+    for msg, pos in enumerate(pi):
+        inv[pos] = msg
+    return inv
+
+
+@functools.lru_cache(maxsize=1)
+def _packed_rows(x: FqMatrix) -> tuple[tuple[int, ...], int, tuple[int, ...]]:
+    """(shifts, mask, packed): packed[i] holds X's row i, entry c in the
+    b-bit slot that starts at bit shifts[c] = c * b, and mask = 2^b - 1.
+
+    b = (K (q-1)^2).bit_length(), so a dot product of at most K entries of
+    a G row with a column of X fits its slot and never carries into the next.
+    X is immutable and the server answers from one store, so the packing is
+    kept for the last X seen.
+    """
+    b = (x.rows * (x.q - 1) ** 2).bit_length()
+    shifts = tuple(c * b for c in range(x.cols))
+    return shifts, (1 << b) - 1, tuple(sum(map(operator.lshift, row, shifts)) for row in x.data)
+
+
 def answer(query: Query, x: FqMatrix) -> Answer:
     """Server side: apply the query to the message matrix X (K x N).
 
-    Each block multiplies the rows of X whose permuted positions fall in its
-    columns, so the cost is O(nnz(G) * N) and dense G is never built.
+    Each row of X is packed into one int of N slots, once per store (see
+    _packed_rows).  Each block row then yields its N outputs from one sum
+    of products over the packed rows that pi places in the block's columns,
+    split out by shift, mask and mod q.  The result is exact, dense G is
+    never built, and a query costs O(nnz(G)) big-int multiply-adds.
     """
     pi = query.pi
     if x.rows != len(pi):
@@ -509,16 +541,16 @@ def answer(query: Query, x: FqMatrix) -> Answer:
     width = sum(blk.cols for blk in blocks)
     if width != len(pi):
         raise ShapeError(f"G has {width} columns but pi covers {len(pi)} messages")
-    inv = [0] * len(pi)
-    for msg, pos in enumerate(pi):
-        inv[pos] = msg
     q = x.q
-    permuted = [[column[m] for m in inv] for column in zip(*x.data)]
+    shifts, mask, packed = _packed_rows(x)
+    permuted = list(map(packed.__getitem__, inverse_permutation(pi)))
     rows: list[list[int]] = []
     col = 0
     for blk in blocks:
-        segments = [column[col : col + blk.cols] for column in permuted]
-        rows += [[sum(a * b for a, b in zip(r, s)) % q for s in segments] for r in blk.data]
+        segment = permuted[col : col + blk.cols]
+        for r in blk.data:
+            total = sum(map(operator.mul, r, segment))
+            rows.append([((total >> s) & mask) % q for s in shifts])
         col += blk.cols
     return Answer(FqMatrix(q, rows, cols=x.cols))
 

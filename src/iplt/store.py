@@ -8,6 +8,7 @@ little-endian, K and N as 4-byte little-endian each, then K*N entries as
 
 from __future__ import annotations
 
+import itertools
 import random
 import struct
 from dataclasses import dataclass
@@ -54,8 +55,7 @@ class MessageStore:
 
 def pack_entries(m: FqMatrix) -> bytes:
     """m's entries in row-major order, 8 bytes little-endian each."""
-    flat = [v for row in m.data for v in row]
-    return struct.pack(f"<{len(flat)}Q", *flat)
+    return struct.pack(f"<{m.rows * m.cols}Q", *itertools.chain.from_iterable(m.data))
 
 
 def unpack_entries(
@@ -75,10 +75,14 @@ def unpack_entries(
     what and giving its byte offset in data.
     """
     flat = struct.unpack_from(f"<{rows * cols}{'I' if width == 4 else 'Q'}", data, offset)
-    if flat and max(flat) >= q:
+    try:
+        return FqMatrix(q, [flat[i * cols : (i + 1) * cols] for i in range(rows)], cols=cols)
+    except ValueError:
+        # Unpacked entries are nonnegative ints, so only an entry >= q fails.
         idx = next(i for i, v in enumerate(flat) if v >= q)
-        raise error(f"{what} {flat[idx]} at byte offset {offset + idx * width} is not below q={q}")
-    return FqMatrix(q, [flat[i * cols : (i + 1) * cols] for i in range(rows)], cols=cols)
+        raise error(
+            f"{what} {flat[idx]} at byte offset {offset + idx * width} is not below q={q}"
+        ) from None
 
 
 def store_save(store: MessageStore, path) -> None:

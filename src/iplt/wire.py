@@ -16,6 +16,7 @@ any block.
 
 from __future__ import annotations
 
+import itertools
 import json
 import socket
 import socketserver
@@ -31,7 +32,7 @@ from .errors import (
     RemoteError,
     ShapeError,
 )
-from .protocol import Answer, Query, answer
+from .protocol import Answer, Query, answer, is_permutation
 from .store import MessageStore, pack_entries, unpack_entries
 
 KIND_QUERY = 0x03
@@ -53,8 +54,10 @@ def encode_query(query: Query) -> bytes:
     if any((blk.rows, blk.cols) != (L, D) for blk in blocks):
         raise ShapeError("decoy blocks differ in shape")
     head = _QUERY_HEAD.pack(query.q, k, len(blocks), L, D, trailing.rows, trailing.cols)
-    entries = [v for blk in (*blocks, trailing) for row in blk.data for v in row]
-    return head + struct.pack(f"<{len(entries) + k}I", *entries, *query.pi)
+    rows = itertools.chain.from_iterable(blk.data for blk in (*blocks, trailing))
+    entries = list(itertools.chain.from_iterable(rows))
+    entries += query.pi
+    return head + struct.pack(f"<{len(entries)}I", *entries)
 
 
 def _query_layout(payload: bytes) -> tuple[int, int, list[tuple[int, int]], int]:
@@ -96,14 +99,15 @@ def decode_query(payload: bytes) -> Query:
         )
         off += rows * cols * 4
     pi = struct.unpack_from(f"<{k}I", payload, pi_off)
-    seen = set()
-    for idx, p in enumerate(pi):
-        off = pi_off + idx * 4
-        if p >= k:
-            raise MalformedPayload(f"permutation value {p} at offset {off} exceeds K-1")
-        if p in seen:
-            raise MalformedPayload(f"duplicate permutation value {p} at offset {off}")
-        seen.add(p)
+    if not is_permutation(pi):
+        seen = set()
+        for idx, p in enumerate(pi):
+            off = pi_off + idx * 4
+            if p >= k:
+                raise MalformedPayload(f"permutation value {p} at offset {off} exceeds K-1")
+            if p in seen:
+                raise MalformedPayload(f"duplicate permutation value {p} at offset {off}")
+            seen.add(p)
     return Query(tuple(blocks[:-1]), blocks[-1], tuple(pi))
 
 

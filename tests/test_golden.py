@@ -1,9 +1,11 @@
 """Golden digests of seeded round trips: query bytes, answer bytes, recovered rows.
 
-The four shapes reach every branch of build_query: ParityEmbed with a GRS
-extension (planted) and with L == D (planted, no extension), AlignS with
-R > 0 (planted by GRS extension) and with R = 0, each also with decoy
-placements.  A digest change means a query, answer or recovery changed.
+The first four shapes reach every branch of build_query: ParityEmbed with
+a GRS extension (planted) and with L == D (planted, no extension), AlignS
+with R > 0 (planted by GRS extension) and with R = 0, each also with decoy
+placements.  The two shapes at q = 65521 and N = 4 pin the kernels at the
+bulk benchmark's field size: AlignS with R = 0, and AlignS with R = 30
+(t = m = 4).  A digest change means a query, answer or recovery changed.
 The first digest hashes the retired dense v1 packing of each query, so it
 pins the query itself across wire formats; the last hashes the block payload.
 """
@@ -42,6 +44,18 @@ GOLDEN = {
         "50fab4dc424551685e1f59d583c5d4502885af74dd188d7b89283fa11638c14a",
         "926703d1044d770238efab73b90238a9b90e90c172ce4c4c9f5ed203ccc6881a",
         "f585b9bd94ffea22520b7e69afc827d112208ae90f02713632d165a0cad5d713",
+    ),
+    (400, 50, 5, 65521, 4): (
+        "bafc31f57f10404fb3f18e154d7e3e097d0812efb58476bc9995879df8e19149",
+        "cee7177e60588d1e9d47bb3bd5ea3b17f4a3d54fb8f44fa7db9371e8095e79e5",
+        "3e974e2cb6b114908c50c7efe910751534ab2d63f0fd67e66b0a9b52679587b8",
+        "bfea570c1a3132de30cf9ad9e4b11601170a725f6f72a38b06c32a6048103ae8",
+    ),
+    (430, 50, 5, 65521, 4): (
+        "0aa5865f0a34acb83f65b46dc857b68054f311e52ab650e8052965a8a26572dd",
+        "5eac25310bea729e7bda08e70876acdf3b1e49aad65663d41317ea38c6efe066",
+        "b00d30c8aa4bc0e1e74925875ce34b00170e1a1cebee8d713bb123a67837adc0",
+        "1535fe7d27748bd39a90fe83884abc85c3f924c9f90d575e963c3e19232259d9",
     ),
     (10, 3, 3, 17, 2): (
         "c266669498ea1971959fef53bff3fc21c598f901da2d97a7265ceebe6681d9d7",

@@ -51,7 +51,8 @@ def rand_mat(rng, rows, cols, q=Q):
 
 
 def test_constructor_validates_entries_and_shape():
-    """Unreduced entries raise ValueError; ragged rows raise ShapeError."""
+    """Unreduced or non-int entries raise ValueError naming the entry (a float
+    or a bool is never truncated); ragged rows raise ShapeError."""
     with pytest.raises(ValueError):
         mat([[0, 17]])
     with pytest.raises(ValueError):
@@ -60,6 +61,10 @@ def test_constructor_validates_entries_and_shape():
         mat([[1, 2], [3]])
     with pytest.raises(ShapeError):
         FqMatrix(Q, [[1, 2]], cols=3)
+    with pytest.raises(ValueError, match="2.7"):
+        mat([[1, 2.7]])
+    with pytest.raises(ValueError, match="True"):
+        mat([[1, 2], [True, 3]])
 
 
 def test_empty_matrix_needs_cols():
@@ -272,6 +277,17 @@ def test_grs_generator_structure():
         for j, (p, m_) in enumerate(zip((1, 2, 3, 4, 5), (1, 1, 2, 1, 3))):
             assert g.data[i][j] == (m_ * pow(p, i, Q)) % Q
     assert is_mds(g)
+
+
+def test_grs_generator_edge_cases():
+    """A point 0 gives the column (m, 0, ..., 0), since 0^0 = 1 in row 0;
+    k = 0 gives the empty generator of the full length."""
+    points, mults = (0, 1, 2, 3), (5, 1, 2, 1)
+    g = grs_generator(Q, 3, 4, points, mults)
+    assert g.column(0) == (5, 0, 0)
+    assert g == mat([[(m_ * pow(p, i, Q)) % Q for p, m_ in zip(points, mults)] for i in range(3)])
+    empty = grs_generator(Q, 0, 4, (0, 1, 2, 3), (1, 1, 1, 1))
+    assert (empty.rows, empty.cols, empty.data) == (0, 4, ())
 
 
 def test_grs_generator_rejections():

@@ -35,7 +35,7 @@ from iplt import (
     solve_alignment,
 )
 
-from oracles import NON_GRS_V_17
+from oracles import NON_GRS_V_17, naive_matmul
 
 Q = 17
 
@@ -361,6 +361,58 @@ def test_answer_validation():
         answer(query, FqMatrix.random(Q, 9, 1, rng))
     with pytest.raises(ShapeError):
         answer(query, FqMatrix.random(19, 10, 1, rng))
+
+
+# AlignS with R = 0, AlignS with R > 0, and ParityEmbed with K < 2D, whose
+# trailing block spans all K columns: the widest dot product a slot holds.
+ORACLE_SHAPES = [(12, 4, 2), (14, 4, 2), (7, 4, 3)]
+
+
+def _dense_answer(query, x):
+    """G @ X with X's rows in permuted order, by the schoolbook oracle."""
+    permuted = [None] * x.rows
+    for msg, pos in enumerate(query.pi):
+        permuted[pos] = list(x.data[msg])
+    return FqMatrix(x.q, naive_matmul(query.G.to_rows(), permuted, x.q), cols=x.cols)
+
+
+def _saturated(query):
+    """The query with every generator entry set to q - 1."""
+    q = query.q
+
+    def full(blk):
+        return FqMatrix(q, [[q - 1] * blk.cols] * blk.rows, cols=blk.cols)
+
+    return Query(tuple(map(full, query.blocks)), full(query.trailing), query.pi)
+
+
+@pytest.mark.parametrize("q", [2**31 - 1, 65521])
+@pytest.mark.parametrize("N", [1, 4])
+@pytest.mark.parametrize("shape", ORACLE_SHAPES, ids=lambda s: "K{}-D{}-L{}".format(*s))
+def test_answer_matches_dense_oracle(shape, N, q):
+    """The packed answer equals G @ X_permuted at the widest slot the field
+    allows (q = 2^31 - 1) and at the bench's field, also when every entry of
+    G and X is q - 1, the largest dot product a slot must hold."""
+    params = derive_params(*shape, q, N)
+    for seed in range(3):
+        rng = random.Random(seed)
+        query, _ = build_query(Demand.random(params, rng), params, rng)
+        x = FqMatrix.random(q, params.K, N, rng)
+        assert answer(query, x).Y == _dense_answer(query, x)
+    top = FqMatrix(q, [[q - 1] * N] * params.K, cols=N)
+    assert answer(_saturated(query), top).Y == _dense_answer(_saturated(query), top)
+
+
+def test_answer_alternating_stores():
+    """Two stores of the same K, N and q answered in turn each get their own
+    answer: the cached packing never serves the other store."""
+    params = derive_params(14, 4, 2, 65521, 4)
+    rng = random.Random(5)
+    stores = [FqMatrix.random(params.q, params.K, params.N, rng) for _ in range(2)]
+    for _ in range(3):
+        query, _ = build_query(Demand.random(params, rng), params, rng)
+        for x in (*stores, *reversed(stores)):
+            assert answer(query, x).Y == _dense_answer(query, x)
 
 
 # -- end-to-end recovery --------------------------------------------------------
