@@ -31,7 +31,8 @@ from .protocol import (
 @dataclass(frozen=True)
 class ExampleFixture:
     """One pinned instance: parameters, demand, query, secret, and the
-    recomputation targets specific to the example."""
+    recomputation targets specific to the example, including the AlignS
+    records (coefficient matrix, Cauchy points, scalings) it pins."""
 
     name: str
     params: ProtocolParams
@@ -78,21 +79,13 @@ def _example_1() -> ExampleFixture:
         },
         24,
     )
-    secret = ClientSecret(
-        b=1,
-        shuffled=shuffled,
-        cauchy_x=(0,),
-        cauchy_y=(),
-        alpha=(1,),
-        c_matrix=g3,
-    )
     return ExampleFixture(
         name="example 1",
         params=params,
         demand=demand,
         query=Query((g1, shuffled.V), g3, pi),
-        secret=secret,
-        expected={},
+        secret=ClientSecret(b=1, shuffled=shuffled),
+        expected={"c_matrix": g3},
     )
 
 
@@ -142,10 +135,6 @@ def _example_2() -> ExampleFixture:
     secret = ClientSecret(
         b=1,
         shuffled=shuffled,
-        cauchy_x=x,
-        cauchy_y=y,
-        alpha=alpha,
-        c_matrix=c_matrix,
         h=tuple(slot_columns(params.S, (0, 2, 4))),
         trailing=trailing,
     )
@@ -156,6 +145,10 @@ def _example_2() -> ExampleFixture:
         query=Query((g1,), trailing, pi),
         secret=secret,
         expected={
+            "c_matrix": c_matrix,
+            "cauchy_x": x,
+            "cauchy_y": y,
+            "alpha": alpha,
             "omega": FqMatrix(q, [(5, 9), (14, 3), (4, 15)]),
             "c": c,
             "planted_alpha": {0: 3, 2: 1, 4: 4},

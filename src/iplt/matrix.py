@@ -251,8 +251,17 @@ def first_singular_minor(m: FqMatrix) -> Optional[tuple[int, ...]]:
 
 
 def is_mds(m: FqMatrix) -> bool:
-    """True iff every maximal minor of m is invertible (see first_singular_minor)."""
-    return first_singular_minor(m) is None
+    """True iff every maximal minor of m is invertible.
+
+    A GRS code is MDS (Roth and Seroussi 1985), so when grs_parameters
+    proves m GRS that certificate decides, in O(k n^2).  Only when it
+    raises NotGrs are the minors enumerated (first_singular_minor).
+    """
+    try:
+        grs_parameters(m)
+    except NotGrs:
+        return first_singular_minor(m) is None
+    return True
 
 
 def cauchy(q: int, x: Sequence[int], y: Sequence[int]) -> FqMatrix:

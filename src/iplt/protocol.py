@@ -23,7 +23,8 @@ it with the one T that solves T @ trailing = U, where U is V placed at h
 (embedding_transform).
 
 All randomness flows through one random.Random instance, so a seed fully
-determines the query.
+determines the query.  Privacy assumes the server cannot predict that rng,
+so a private query draws from an unpredictable one (random.SystemRandom).
 """
 
 from __future__ import annotations
@@ -208,21 +209,16 @@ class Query:
 class ClientSecret:
     """Client-side state needed to recover the demand from the answer.
 
-    Recovery reads b, shuffled, h and trailing.  b is the 0-based block
-    index where the demand was planted.  When b lands on the trailing block,
-    h holds the demand's columns inside it, in demand-column order (the
-    planted width-S slots for AlignS, the embedding set for ParityEmbed),
-    and trailing is the trailing block itself.  The AlignS records
-    (cauchy_x, cauchy_y, alpha, c_matrix) are filled for every AlignS query
-    and are kept for the pinned-example checks; recovery does not read them.
+    b is the 0-based block index where the demand was planted, and shuffled
+    is the demand after its secret column shuffle.  When b lands on the
+    trailing block, h holds the demand's columns inside it, in demand-column
+    order (the planted width-S slots for AlignS, the embedding set for
+    ParityEmbed), and trailing is the trailing block itself; otherwise both
+    are None.
     """
 
     b: int
     shuffled: Demand
-    cauchy_x: Optional[tuple[int, ...]] = None
-    cauchy_y: Optional[tuple[int, ...]] = None
-    alpha: Optional[tuple[int, ...]] = None
-    c_matrix: Optional[FqMatrix] = None
     h: Optional[tuple[int, ...]] = None
     trailing: Optional[FqMatrix] = None
 
@@ -332,26 +328,23 @@ def _assemble_align_trailing(
     """AlignS trailing block: m x (t+m) grid of scaled width-S column blocks.
 
     Row block i holds alpha_j * omega[i][j] * C_j for j < t, alpha_j * C_j at
-    the diagonal slot j = t + i, and zero blocks elsewhere.
+    the diagonal slot j = t + i, and zero blocks elsewhere.  Those scales form
+    one m x (t+m) table, and row (i, u) is C's row u with entry p scaled by
+    table[i][p // S].
     """
-    L, S, t, m, q = params.L, params.S, params.t, params.m, params.q
+    S, t, m, q = params.S, params.t, params.m, params.q
     assert t is not None and m is not None
-    width = (t + m) * S
-    rows = [[0] * width for _ in range(m * L)]
-    for i in range(m):
-        for j in range(t + m):
-            if j < t:
-                coef = (alpha[j] * omega.data[i][j]) % q
-            elif j == t + i:
-                coef = alpha[j] % q
-            else:
-                continue
-            for u in range(L):
-                src = c_matrix.data[u]
-                dst = rows[i * L + u]
-                for p in slot_columns(S, [j]):
-                    dst[p] = (coef * src[p]) % q
-    return FqMatrix(q, rows, cols=width)
+    table = [
+        [alpha[j] * w % q for j, w in enumerate(row)]
+        + [alpha[t + i] if j == i else 0 for j in range(m)]
+        for i, row in enumerate(omega.data)
+    ]
+    rows = [
+        [scale[p // S] * v % q for p, v in enumerate(src)]
+        for scale in table
+        for src in c_matrix.data
+    ]
+    return FqMatrix(q, rows, cols=c_matrix.cols)
 
 
 def demand_positions(
@@ -389,6 +382,9 @@ def build_query(
     demand block b, draw decoy diagonal blocks, build the trailing block per
     case, and extend the demand placement to a full permutation uniformly.
 
+    Privacy assumes the server cannot predict rng: a seeded Random makes a
+    reproducible query, not a private one (use random.SystemRandom()).
+
     When R > 0 and L < D a demand planted on the trailing block is extended
     by fresh GRS evaluation points, so V must generate a GRS code (every
     MDS V with L <= 2 or D - L <= 2 does).  Otherwise NotGrs is raised
@@ -414,17 +410,12 @@ def build_query(
     diag = [shuffled.V if i == b else random_grs(q, L, D, rng) for i in range(n)]
 
     h: Optional[tuple[int, ...]] = None
-    cauchy_x: Optional[tuple[int, ...]] = None
-    cauchy_y: Optional[tuple[int, ...]] = None
-    alpha: Optional[tuple[int, ...]] = None
-    c_matrix: Optional[FqMatrix] = None
 
     if params.case == ALIGN_S:
         t, m = params.t, params.m
         assert t is not None and m is not None
         pts = rng.sample(range(q), t + m)
-        cauchy_x, cauchy_y = tuple(pts[:m]), tuple(pts[m:])
-        omega = cauchy(q, cauchy_x, cauchy_y)
+        omega = cauchy(q, pts[:m], pts[m:])
         if b == n:
             planted = sorted(rng.sample(range(t + m), t + 1))
             h = tuple(slot_columns(params.S, planted))
@@ -460,16 +451,7 @@ def build_query(
     for msg, pos in sorted(zip(shuffled.W, demand_pos)):
         pi.insert(msg, pos)
 
-    secret = ClientSecret(
-        b=b,
-        shuffled=shuffled,
-        cauchy_x=cauchy_x,
-        cauchy_y=cauchy_y,
-        alpha=alpha,
-        c_matrix=c_matrix,
-        h=h,
-        trailing=trailing if b == n else None,
-    )
+    secret = ClientSecret(b, shuffled, h, trailing if b == n else None)
     return Query(tuple(diag), trailing, tuple(pi)), secret
 
 

@@ -39,6 +39,7 @@ KIND_QUERY = 0x03
 KIND_ANSWER = 0x02
 KIND_ERROR = 0xFF
 MAX_FRAME = 64 * 1024 * 1024
+_BACKGROUND_POLL_S = 0.05
 
 _QUERY_HEAD = struct.Struct("<7I")
 _ANSWER_HEAD = struct.Struct("<II")
@@ -243,8 +244,11 @@ class AnswerServer(socketserver.ThreadingTCPServer):
         return f"{host}:{port}"
 
     def start_background(self) -> threading.Thread:
-        """Serve on a daemon thread; returns the thread."""
-        thread = threading.Thread(target=self.serve_forever, daemon=True)
+        """Serve on a daemon thread, polling every _BACKGROUND_POLL_S s so
+        shutdown() returns quickly; returns the thread."""
+        thread = threading.Thread(
+            target=self.serve_forever, args=(_BACKGROUND_POLL_S,), daemon=True
+        )
         thread.start()
         return thread
 

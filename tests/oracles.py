@@ -101,6 +101,28 @@ def naive_is_mds(rows: list[list[int]], q: int) -> bool:
     return True
 
 
+def naive_align_trailing(c_rows, omega_rows, alpha, L: int, S: int, t: int, m: int, q: int):
+    """AlignS trailing block written one width-S slot block at a time.
+
+    Row block i holds alpha_j * omega[i][j] times slot j of C for j < t,
+    alpha_j times slot j at the diagonal slot j = t + i, and zeros elsewhere.
+    """
+    width = (t + m) * S
+    rows = [[0] * width for _ in range(m * L)]
+    for i in range(m):
+        for j in range(t + m):
+            if j < t:
+                coef = alpha[j] * omega_rows[i][j] % q
+            elif j == t + i:
+                coef = alpha[j] % q
+            else:
+                continue
+            for u in range(L):
+                for p in range(j * S, j * S + S):
+                    rows[i * L + u][p] = coef * c_rows[u][p] % q
+    return rows
+
+
 def closed_form_rows(K: int, D: int, L: int) -> int:
     """The claimed optimal answer row count L*floor(K/D) + min(L, K mod D)."""
     return L * (K // D) + min(L, K % D)

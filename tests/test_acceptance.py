@@ -26,7 +26,7 @@ from iplt.bounds import capacity_lower, capacity_upper, ilp_bruteforce, jplt_rat
 from iplt.cli import _example_checks
 from iplt.errors import CompletionFailed
 from iplt.fixtures import example_fixture
-from iplt.matrix import FqMatrix, cauchy
+from iplt.matrix import FqMatrix
 from iplt.protocol import (
     ALIGN_S,
     Demand,
@@ -290,6 +290,25 @@ def _sample_embedding_shape(rng: random.Random):
         return K, D, L, q
 
 
+def _omega_from_view(trailing, params):
+    """The Cauchy table read off the trailing block, one scale per column.
+
+    Slot block (i, j < t) is alpha_j * omega[i][j] * C_j, so at an entry of
+    slot j that is nonzero in row block 0, row block i over row block 0 is
+    omega[i][j] / omega[0][j].  Scaling a column of omega scales one
+    alignment equation, so alignment_coefficients returns the same c as it
+    does from the client's own table.
+    """
+    q, L, S, t, m = params.q, params.L, params.S, params.t, params.m
+    rows = trailing.data
+    cols = []
+    for j in range(t):
+        u, p = next((u, p) for u in range(L) for p in range(j * S, j * S + S) if rows[u][p])
+        inv = pow(rows[u][p], q - 2, q)
+        cols.append([rows[i * L + u][p] * inv % q for i in range(m)])
+    return FqMatrix(q, [[col[i] for col in cols] for i in range(m)], cols=t)
+
+
 def test_criterion_7_feasibility_totality(capfd):
     """Every slot subset and every shortened support of sampled trailing
     blocks is feasible, with all-nonzero alignment coefficients."""
@@ -302,7 +321,7 @@ def test_criterion_7_feasibility_totality(capfd):
         params = derive_params(K, D, L, q)
         rng = random.Random((trial << 8) ^ 0xFEA5)
         demand = Demand.random(params, rng)
-        query, secret = build_query(demand, params, rng)
+        query, _ = build_query(demand, params, rng)
         sweep = feasibility_sweep(query.trailing, params)
         total = math.comb(params.t + params.m, params.t + 1)
         if not (sweep.ok and sweep.total == total and sweep.feasible == total):
@@ -310,7 +329,7 @@ def test_criterion_7_feasibility_totality(capfd):
                 f"alignment trial {trial} ({K},{D},{L}) q={q}: "
                 f"{sweep.feasible}/{sweep.total} feasible, want {total}"
             )
-        omega = cauchy(q, secret.cauchy_x, secret.cauchy_y)
+        omega = _omega_from_view(query.trailing, params)
         for sel in itertools.combinations(range(params.t + params.m), params.t + 1):
             c = alignment_coefficients(
                 q,

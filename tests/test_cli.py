@@ -465,6 +465,30 @@ def test_fetch_round_trip(capsys, tmp_path, live_server):
     assert out == "".join(f"{v}\n" for v in expected)
 
 
+def test_unseeded_fetch_draws_from_the_os(capsys, tmp_path, live_server, monkeypatch):
+    """Without --seed, fetch builds its query from SystemRandom even when
+    PLT_SEED is set; --seed replays a seeded Random and warns on stderr."""
+    seen = []
+
+    def recording(demand, params, rng):
+        seen.append(rng)
+        return iplt.build_query(demand, params, rng)
+
+    monkeypatch.setattr(iplt.cli, "build_query", recording)
+    monkeypatch.setenv("PLT_SEED", "0")
+    _, endpoint = live_server
+    dpath = write_demand(tmp_path, GOOD_DEMAND)
+    argv = ["fetch", "--addr", endpoint, "--demand", dpath, "--K", "10", "--q", "17"]
+    rc, out, err = run_cli(capsys, argv)
+    assert (rc, err) == (0, "")
+    rc, seeded_out, seeded_err = run_cli(capsys, argv + ["--seed", "3"])
+    assert rc == 0
+    assert seeded_err == "warning: a seeded query is reproducible, so it is not private\n"
+    assert isinstance(seen[0], random.SystemRandom)
+    assert type(seen[1]) is random.Random
+    assert out == seeded_out
+
+
 def test_fetch_writes_output_file(capsys, tmp_path, live_server):
     """--out sends the recovered rows to a file instead of stdout."""
     _, endpoint = live_server

@@ -250,6 +250,29 @@ def test_is_mds_edges():
         is_mds(mat([[1], [2]]))
 
 
+def test_is_mds_decides_grs_codes_by_certificate(monkeypatch):
+    """A GRS matrix is proved MDS without enumerating a single minor; a
+    non-GRS MDS matrix and a singular one still reach the minors."""
+    import iplt.matrix
+
+    def refuse(m):
+        raise AssertionError("minors enumerated for a GRS code")
+
+    monkeypatch.setattr(iplt.matrix, "first_singular_minor", refuse)
+    assert is_mds(random_grs(65521, 5, 30, random.Random(3))) is True
+    assert is_mds(random_grs(Q, 3, 6, random.Random(0))) is True
+    calls = []
+
+    def spy(m):
+        calls.append(m)
+        return first_singular_minor(m)
+
+    monkeypatch.setattr(iplt.matrix, "first_singular_minor", spy)
+    assert is_mds(mat(NON_GRS_V_17)) is True
+    assert is_mds(mat([[1, 0, 0], [0, 1, 0]])) is False
+    assert len(calls) == 2
+
+
 def test_cauchy_values_and_degeneracy():
     """Cauchy entries invert coordinate differences; collisions raise."""
     w = cauchy(Q, (1, 5, 7), (11, 16))

@@ -35,7 +35,9 @@ from iplt import (
     solve_alignment,
 )
 
-from oracles import NON_GRS_V_17, naive_matmul
+from iplt.protocol import ALIGN_S, _assemble_align_trailing
+
+from oracles import NON_GRS_V_17, naive_align_trailing, naive_matmul
 
 Q = 17
 
@@ -512,3 +514,30 @@ def test_fixture_roundtrips_in_process():
         x = FqMatrix.random(fx.params.q, fx.params.K, 2, random.Random(which))
         got = recover(answer(fx.query, x), fx.secret, fx.params, fx.demand)
         assert got == fx.demand.value(x)
+
+
+@pytest.mark.parametrize(
+    "K,D,L,q",
+    [
+        (24, 8, 2, 17),  # R = 0: t = 0, m = 1, S = 8
+        (2000, 50, 5, 65521),  # the bulk shape: t = 0, m = 1, S = 50
+        (24, 9, 2, 17),  # S = 3, t = 2, m = 3
+        (30, 8, 2, 17),  # S = 2, t = 3, m = 4
+        (24, 7, 1, 17),  # S = 1, t = 6, m = 4
+    ],
+)
+def test_align_trailing_matches_per_block_oracle(K, D, L, q):
+    """The one-table AlignS assembly equals the slot-by-slot oracle."""
+    params = derive_params(K, D, L, q)
+    assert params.case == ALIGN_S
+    t, m, S = params.t, params.m, params.S
+    rng = random.Random(K * 1000 + D)
+    for _ in range(4):
+        c = FqMatrix.random(q, L, D + params.R, rng)
+        pts = rng.sample(range(q), t + m)
+        omega = cauchy(q, pts[:m], pts[m:])
+        alpha = tuple(rng.randrange(1, q) for _ in range(t + m))
+        got = _assemble_align_trailing(params, c, omega, alpha)
+        want = naive_align_trailing(c.to_rows(), omega.to_rows(), alpha, L, S, t, m, q)
+        assert (got.rows, got.cols) == (m * L, D + params.R)
+        assert got.to_rows() == want
