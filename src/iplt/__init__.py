@@ -49,7 +49,6 @@ from .matrix import (
 from .protocol import (
     ALIGN_S,
     PARITY_EMBED,
-    Answer,
     ClientSecret,
     Demand,
     ProtocolParams,

@@ -90,9 +90,6 @@ class PrivacyReport:
     """Outcome of one privacy audit."""
 
     ok: bool
-    K: int
-    D: int
-    case: str
     candidate_count: int
     weight_total: Fraction
     expected: Fraction
@@ -154,7 +151,7 @@ def audit_individual_privacy(query, params: ProtocolParams, demand=None) -> Priv
     expected = Fraction(D, K)
     if cands is None:
         return PrivacyReport(
-            ok=False, K=K, D=D, case=params.case, candidate_count=0,
+            ok=False, candidate_count=0,
             weight_total=Fraction(0), expected=expected, structure_errors=errors,
         )
     # Posteriors are summed as integer numerators over the weights' common
@@ -180,7 +177,7 @@ def audit_individual_privacy(query, params: ProtocolParams, demand=None) -> Priv
             errors.append("true demand support is not among the candidates")
     ok = not errors and not violations
     return PrivacyReport(
-        ok=ok, K=K, D=D, case=params.case, candidate_count=len(cands),
+        ok=ok, candidate_count=len(cands),
         weight_total=weight_total, expected=expected, structure_errors=errors,
         posterior_violations=violations, true_support_found=true_found,
     )
@@ -206,9 +203,10 @@ def feasibility_sweep(trailing: FqMatrix, params: ProtocolParams) -> Feasibility
     the columns outside P must form an L-dimensional space whose restriction
     to P is MDS.  That is exactly the condition for some client to recover a
     demand with an MDS coefficient matrix at P from this block (the T of
-    protocol.embedding_transform), in either case.  The MDS check per
-    support examines all C(D, L) maximal minors, so the sweep costs
-    trailing_support_count(params) * C(D, L) determinants; budget accordingly.
+    protocol.embedding_transform), in either case.  Each support costs one
+    null space and one MDS check, and matrix.is_mds settles a GRS code by
+    certificate without enumerating minors, so the sweep's cost follows
+    trailing_support_count(params).
     """
     D, L = params.D, params.L
     rows, width = params.answer_rows - params.n * L, D + params.R

@@ -11,8 +11,6 @@ running server and recover the demanded combinations).
 from __future__ import annotations
 
 import argparse
-import math
-import os
 import random
 import sys
 from fractions import Fraction
@@ -34,6 +32,7 @@ from .protocol import (
     demand_positions,
     derive_params,
     embedding_transform,
+    is_permutation,
     recover,
     solve_alignment,
 )
@@ -41,12 +40,9 @@ from .store import MessageStore, store_load
 from .wire import fetch, serve, to_debug_json
 
 
-def _resolve_seed(args: argparse.Namespace) -> int:
-    """--seed wins; otherwise the PLT_SEED environment variable; otherwise 0 (not for fetch)."""
-    seed = getattr(args, "seed", None)
-    if seed is not None:
-        return seed
-    return int(os.environ.get("PLT_SEED", "0"))
+# audit skips the feasibility sweep above this many trailing supports; each
+# costs one null space plus one GRS certificate (audit.feasibility_sweep).
+MAX_SWEEP_SUPPORTS = 512
 
 
 def _print_params(params: ProtocolParams) -> None:
@@ -109,7 +105,7 @@ def _example_checks(fx: ExampleFixture) -> list[tuple[str, bool, str]]:
     shapes = [(blk.rows, blk.cols) for blk in (*query.blocks, trailing)]
     want = [(L, D)] * n + [(params.answer_rows - n * L, K - n * D)]
     add("generator shape", shapes == want, f"got blocks {shapes}, want {want}")
-    add("permutation", sorted(query.pi) == list(range(K)), "pi is not a bijection")
+    add("permutation", len(query.pi) == K and is_permutation(query.pi), "pi is not a bijection")
     add(
         "coefficients mds",
         is_mds(demand.V) and is_mds(shuffled.V),
@@ -147,8 +143,7 @@ def _example_checks(fx: ExampleFixture) -> list[tuple[str, bool, str]]:
     )
 
     x = FqMatrix.random(q, K, 3, random.Random(1009))
-    ans = answer(query, x)
-    rec = recover(ans, secret, params, demand)
+    rec = recover(answer(query, x), secret, params, demand)
     add(
         "round trip",
         rec == demand.value(x),
@@ -254,7 +249,7 @@ def cmd_example(args: argparse.Namespace) -> int:
 
 
 def cmd_demo(args: argparse.Namespace) -> int:
-    rng = random.Random(_resolve_seed(args))
+    rng = random.Random(args.seed)
     params = derive_params(args.K, args.D, args.L, args.q, args.N)
     _print_params(params)
     demand = Demand.random(params, rng)
@@ -263,14 +258,14 @@ def cmd_demo(args: argparse.Namespace) -> int:
     print(f"store: {store.K} messages of {store.N} symbols over GF({store.q})")
     query, secret = build_query(demand, params, rng)
     print(f"query: generator {params.answer_rows}x{params.K}, demand block {secret.b}")
-    ans = answer(query, store.X)
-    print(f"answer: {ans.Y.rows} rows")
+    y = answer(query, store.X)
+    print(f"answer: {y.rows} rows")
     report = audit_individual_privacy(query, params, demand)
     print(
         f"audit: candidates={report.candidate_count}, "
         f"posterior={report.expected} each, {'ok' if report.ok else 'VIOLATION'}"
     )
-    rec = recover(ans, secret, params, demand)
+    rec = recover(y, secret, params, demand)
     if rec != demand.value(store.X):
         print("recovered: MISMATCH")
         return 1
@@ -284,14 +279,11 @@ def cmd_demo(args: argparse.Namespace) -> int:
 def cmd_audit(args: argparse.Namespace) -> int:
     if args.trials < 1:
         raise BadShape(f"need --trials >= 1, got {args.trials}")
-    if args.max_enum < 0:
-        raise BadShape(f"need --max-enum >= 0, got {args.max_enum}")
-    params = derive_params(args.K, args.D, args.L, args.q, args.N)
-    rng = random.Random(_resolve_seed(args))
+    params = derive_params(args.K, args.D, args.L, args.q)
+    rng = random.Random(args.seed)
     _print_params(params)
     enum = trailing_support_count(params)
-    work = enum * math.comb(params.D, params.L)
-    do_sweep = work <= args.max_enum
+    do_sweep = enum <= MAX_SWEEP_SUPPORTS
     priv_ok = sweep_ok = 0
     failures: list[str] = []
     for trial in range(args.trials):
@@ -317,10 +309,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
             f"({enum} supports each)"
         )
     else:
-        print(
-            f"feasibility: skipped ({work} exhaustive checks exceed "
-            f"--max-enum {args.max_enum})"
-        )
+        print(f"feasibility: skipped ({enum} supports exceed {MAX_SWEEP_SUPPORTS})")
     for line in failures:
         print(line)
     verdict = priv_ok == args.trials and (not do_sweep or sweep_ok == args.trials)
@@ -440,8 +429,7 @@ def cmd_fetch(args: argparse.Namespace) -> int:
     query, secret = build_query(demand, params, rng)
     if args.debug_json:
         print(to_debug_json(query))
-    ans = fetch(args.addr, query)
-    rec = recover(ans, secret, params, demand)
+    rec = recover(fetch(args.addr, query), secret, params, demand)
     text = "\n".join(" ".join(str(v) for v in row) for row in rec.data) + "\n"
     if args.out == "-":
         sys.stdout.write(text)
@@ -454,13 +442,11 @@ def cmd_fetch(args: argparse.Namespace) -> int:
 # -- parser -------------------------------------------------------------------
 
 
-def _add_shape_args(p: argparse.ArgumentParser, with_n: bool = True) -> None:
+def _add_shape_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--K", type=int, required=True, help="number of stored messages")
     p.add_argument("--D", type=int, required=True, help="messages per demand")
     p.add_argument("--L", type=int, required=True, help="combinations per demand")
     p.add_argument("--q", type=int, required=True, help="prime field size")
-    if with_n:
-        p.add_argument("--N", type=int, default=1, help="symbols per message")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -482,19 +468,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("demo", help="one full query, answer, and recovery round trip")
     _add_shape_args(p)
-    p.add_argument("--seed", type=int, default=None, help="rng seed (default PLT_SEED or 0)")
+    p.add_argument("--N", type=int, default=1, help="symbols per message")
+    p.add_argument("--seed", type=int, default=0, help="rng seed")
     p.set_defaults(func=cmd_demo)
 
     p = sub.add_parser("audit", help="audit privacy and feasibility of random queries")
     _add_shape_args(p)
     p.add_argument("--trials", type=int, default=20, help="number of random queries")
-    p.add_argument("--seed", type=int, default=None, help="rng seed (default PLT_SEED or 0)")
-    p.add_argument(
-        "--max-enum",
-        type=int,
-        default=512,
-        help="skip feasibility sweeps needing more exhaustive checks than this",
-    )
+    p.add_argument("--seed", type=int, default=0, help="rng seed")
     p.set_defaults(func=cmd_audit)
 
     p = sub.add_parser("ilp", help="compare brute-force optimal rows with the closed form")
@@ -522,7 +503,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--seed",
         type=int,
         default=None,
-        help="build a reproducible, non-private query (default: OS randomness; ignores PLT_SEED)",
+        help="build a reproducible, non-private query (default: OS randomness)",
     )
     p.add_argument("--out", default="-", help="output path for the recovered rows")
     p.add_argument(

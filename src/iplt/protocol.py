@@ -29,7 +29,6 @@ so a private query draws from an unpredictable one (random.SystemRandom).
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
@@ -221,13 +220,6 @@ class ClientSecret:
     shuffled: Demand
     h: Optional[tuple[int, ...]] = None
     trailing: Optional[FqMatrix] = None
-
-
-@dataclass(frozen=True)
-class Answer:
-    """The server's reply: Y = G @ X_permuted, an answer_rows x N matrix."""
-
-    Y: FqMatrix
 
 
 def select_block(params: ProtocolParams, rng: random.Random) -> int:
@@ -490,23 +482,38 @@ def inverse_permutation(pi: Sequence[int]) -> list[int]:
     return inv
 
 
-@functools.lru_cache(maxsize=1)
-def _packed_rows(x: FqMatrix) -> tuple[tuple[int, ...], int, tuple[int, ...]]:
+_Packing = tuple[tuple[int, ...], int, tuple[int, ...]]
+
+# The last (X, packing) pair _packed_rows built.  It holds X itself, so the
+# identity check there can never match a recycled id.
+_last_packing: Optional[tuple[FqMatrix, _Packing]] = None
+
+
+def _packed_rows(x: FqMatrix) -> _Packing:
     """(shifts, mask, packed): packed[i] holds X's row i, entry c in the
     b-bit slot that starts at bit shifts[c] = c * b, and mask = 2^b - 1.
 
     b = (K (q-1)^2).bit_length(), so a dot product of at most K entries of
     a G row with a column of X fits its slot and never carries into the next.
     X is immutable and the server answers from one store, so the packing is
-    kept for the last X seen.
+    kept for the last X seen, matched by identity: hashing X would read the
+    whole store on every call.
     """
+    global _last_packing
+    last = _last_packing  # one read: server threads may replace it meanwhile
+    if last is not None and last[0] is x:
+        return last[1]
     b = (x.rows * (x.q - 1) ** 2).bit_length()
     shifts = tuple(c * b for c in range(x.cols))
-    return shifts, (1 << b) - 1, tuple(sum(map(operator.lshift, row, shifts)) for row in x.data)
+    packed = tuple(sum(map(operator.lshift, row, shifts)) for row in x.data)
+    packing = shifts, (1 << b) - 1, packed
+    _last_packing = x, packing
+    return packing
 
 
-def answer(query: Query, x: FqMatrix) -> Answer:
-    """Server side: apply the query to the message matrix X (K x N).
+def answer(query: Query, x: FqMatrix) -> FqMatrix:
+    """Server side: the answer Y = G @ X_permuted (answer_rows x N) for the
+    message matrix X (K x N).
 
     Each row of X is packed into one int of N slots, once per store (see
     _packed_rows).  Each block row then yields its N outputs from one sum
@@ -534,22 +541,21 @@ def answer(query: Query, x: FqMatrix) -> Answer:
             total = sum(map(operator.mul, r, segment))
             rows.append([((total >> s) & mask) % q for s in shifts])
         col += blk.cols
-    return Answer(FqMatrix(q, rows, cols=x.cols))
+    return FqMatrix(q, rows, cols=x.cols)
 
 
 def recover(
-    ans: Answer,
+    y: FqMatrix,
     secret: ClientSecret,
     params: ProtocolParams,
     demand: Demand,
 ) -> FqMatrix:
-    """Client side: extract V @ X_W from the answer.
+    """Client side: extract V @ X_W from the answer Y.
 
     Demand block b < n: the b-th L-row slice of Y.  Trailing block, in both
     cases: solve T @ trailing = U for the unique T (trailing has full row
     rank) and apply it, where U embeds the shuffled V at the secret columns h.
     """
-    y = ans.Y
     L, n, q = params.L, params.n, params.q
     if y.rows != params.answer_rows:
         raise ShapeError(f"answer has {y.rows} rows, expected {params.answer_rows}")

@@ -32,7 +32,8 @@ from .errors import (
     RemoteError,
     ShapeError,
 )
-from .protocol import Answer, Query, answer, is_permutation
+from .matrix import FqMatrix
+from .protocol import Query, answer, is_permutation
 from .store import MessageStore, pack_entries, unpack_entries
 
 KIND_QUERY = 0x03
@@ -112,13 +113,14 @@ def decode_query(payload: bytes) -> Query:
     return Query(tuple(blocks[:-1]), blocks[-1], tuple(pi))
 
 
-def encode_answer(ans: Answer) -> bytes:
-    """Serialize the answer matrix."""
-    return _ANSWER_HEAD.pack(ans.Y.rows, ans.Y.cols) + pack_entries(ans.Y)
+def encode_answer(y: FqMatrix) -> bytes:
+    """Serialize the answer matrix Y."""
+    return _ANSWER_HEAD.pack(y.rows, y.cols) + pack_entries(y)
 
 
-def decode_answer(payload: bytes, q: int) -> Answer:
-    """Parse an answer payload over GF(q); offsets name the failing byte."""
+def decode_answer(payload: bytes, q: int) -> FqMatrix:
+    """Parse an answer payload into the answer matrix Y over GF(q); offsets
+    name the failing byte."""
     if len(payload) < _ANSWER_HEAD.size:
         raise MalformedPayload(
             f"answer payload has {len(payload)} bytes, header needs {_ANSWER_HEAD.size}"
@@ -129,9 +131,7 @@ def decode_answer(payload: bytes, q: int) -> Answer:
         raise MalformedPayload(
             f"answer payload has {len(payload)} bytes, structure requires {expected}"
         )
-    return Answer(
-        Y=unpack_entries(payload, _ANSWER_HEAD.size, rows, n, q, MalformedPayload, "answer entry")
-    )
+    return unpack_entries(payload, _ANSWER_HEAD.size, rows, n, q, MalformedPayload, "answer entry")
 
 
 def to_debug_json(query: Query) -> str:
@@ -214,11 +214,11 @@ class _AnswerHandler(socketserver.BaseRequestHandler):
                 raise ShapeError(f"query over GF({q}), store over GF({store.q})")
             if k != store.K:
                 raise ShapeError(f"store has {store.K} messages, query expects {k}")
-            ans = answer(decode_query(payload), store.X)
+            y = answer(decode_query(payload), store.X)
         except IpltError as exc:
             self._reply_error(exc)
             return
-        send_frame(self.request, KIND_ANSWER, encode_answer(ans))
+        send_frame(self.request, KIND_ANSWER, encode_answer(y))
 
     def _reply_error(self, exc: Exception) -> None:
         text = f"{type(exc).__name__}: {exc}"
@@ -272,8 +272,8 @@ def _error_by_name(name: str):
     return None
 
 
-def fetch(endpoint: str, query: Query, timeout: float = 30.0) -> Answer:
-    """Send one query to a server and return its decoded answer.
+def fetch(endpoint: str, query: Query, timeout: float = 30.0) -> FqMatrix:
+    """Send one query to a server and return its decoded answer matrix Y.
 
     An error frame is re-raised as the matching package exception when the
     server named one (e.g. ShapeError), otherwise as RemoteError.

@@ -1,8 +1,10 @@
 """End-to-end tests for the command line interface."""
 
+import argparse
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import iplt
-from iplt.cli import main
+from iplt.cli import _build_parser, main
 from iplt.matrix import FqMatrix
 from iplt.protocol import Demand
 from iplt.store import MessageStore, store_save
@@ -132,7 +134,7 @@ TRANSCRIPTS = {
     ("audit", "--K", "30", "--D", "8", "--L", "2", "--q", "17", "--trials", "5", "--seed", "1"): [
         "params: K=30 D=8 L=2 q=17 case=AlignS answer_rows=12",
         "privacy: 5/5 queries ok",
-        "feasibility: skipped (980 exhaustive checks exceed --max-enum 512)",
+        "feasibility: 5/5 trailing blocks fully feasible (35 supports each)",
         "audit: PASS",
     ],
 }
@@ -192,15 +194,17 @@ def test_demo_same_seed_same_transcript(capsys):
     assert out1 == out2
 
 
-def test_demo_seed_from_environment(capsys, monkeypatch):
-    """Without --seed the PLT_SEED environment variable drives the rng."""
-    monkeypatch.setenv("PLT_SEED", "2")
+@pytest.mark.parametrize("env_seed", ["abc", "2"])
+def test_demo_seed_defaults_to_zero(capsys, monkeypatch, env_seed):
+    """Without --seed demo runs seed 0; no environment variable sets it, so
+    neither a non-integer nor an integer PLT_SEED changes the run."""
     argv = ["demo", "--K", "24", "--D", "7", "--L", "2", "--q", "17"]
-    rc, out, _ = run_cli(capsys, argv)
+    rc, seed0, _ = run_cli(capsys, argv + ["--seed", "0"])
     assert rc == 0
-    rc2, explicit, _ = run_cli(capsys, argv + ["--seed", "2"])
-    assert rc2 == 0
-    assert out == explicit
+    monkeypatch.setenv("PLT_SEED", env_seed)
+    rc, out, err = run_cli(capsys, argv)
+    assert (rc, err) == (0, "")
+    assert out == seed0
 
 
 def test_demo_flag_overrides_environment(capsys, monkeypatch):
@@ -233,28 +237,25 @@ def test_audit_pass_with_sweep(capsys):
 
 
 def test_audit_skips_oversized_enumeration(capsys):
-    """Support counts above --max-enum skip the sweep but keep privacy checks."""
+    """More trailing supports than MAX_SWEEP_SUPPORTS skip the sweep but keep
+    the privacy check: C(12, 7) = 792 ParityEmbed supports here."""
     rc, out, _ = run_cli(
         capsys,
-        ["audit", "--K", "24", "--D", "7", "--L", "2", "--q", "17",
-         "--trials", "2", "--seed", "0", "--max-enum", "100"],
+        ["audit", "--K", "19", "--D", "7", "--L", "2", "--q", "13",
+         "--trials", "2", "--seed", "0"],
     )
     assert rc == 0
     assert out.splitlines() == [
-        "params: K=24 D=7 L=2 q=17 case=ParityEmbed answer_rows=9",
+        "params: K=19 D=7 L=2 q=13 case=ParityEmbed answer_rows=9",
         "privacy: 2/2 queries ok",
-        "feasibility: skipped (2520 exhaustive checks exceed --max-enum 100)",
+        "feasibility: skipped (792 supports exceed 512)",
         "audit: PASS",
     ]
 
 
 def test_audit_counts_inner_minor_checks(capsys):
-    """A tiny subset count can still hide an enormous per-subset MDS check.
-
-    K=D=24 with L=14 has a single alignment subset, but verifying the
-    surviving block is MDS costs C(24, 14) minors; the guard must count
-    that work and skip instead of grinding for hours.
-    """
+    """One support whose MDS check would take C(24, 14) minors by enumeration
+    is swept: the cap counts supports, and a GRS certificate settles each."""
     rc, out, _ = run_cli(
         capsys,
         ["audit", "--K", "24", "--D", "24", "--L", "14", "--q", "29",
@@ -263,23 +264,40 @@ def test_audit_counts_inner_minor_checks(capsys):
     assert rc == 0
     lines = out.splitlines()
     assert lines[1] == "privacy: 1/1 queries ok"
-    assert lines[2] == "feasibility: skipped (1961256 exhaustive checks exceed --max-enum 512)"
+    assert lines[2] == "feasibility: 1/1 trailing blocks fully feasible (1 supports each)"
+    assert lines[3] == "audit: PASS"
+
+
+def test_audit_sweeps_bulk_shape(capsys):
+    """The bench's bulk shape has one AlignS support and is swept in full."""
+    rc, out, _ = run_cli(
+        capsys,
+        ["audit", "--K", "2000", "--D", "50", "--L", "5", "--q", "65521", "--trials", "1"],
+    )
+    assert rc == 0
+    lines = out.splitlines()
+    assert lines[2] == "feasibility: 1/1 trailing blocks fully feasible (1 supports each)"
     assert lines[3] == "audit: PASS"
 
 
 @pytest.mark.parametrize(
-    "shape,extra,work",
-    [(("24", "7", "2", "17"), [], 2520), (("41", "20", "10", "41"), ["--trials", "1"], 3879876)],
+    "shape,extra,supports",
+    [(("24", "7", "2", "17"), [], 120), (("41", "20", "10", "41"), ["--trials", "1"], 21)],
     ids=["K24-D7-L2", "K41-D20-L10"],
 )
-def test_audit_bounds_parity_embed_minor_checks(capsys, shape, extra, work):
-    """ParityEmbed sweeps count C(D, L) minors per support against --max-enum too."""
+def test_audit_bounds_parity_embed_minor_checks(capsys, shape, extra, supports):
+    """ParityEmbed shapes with C(D, L) maximal minors per support are swept
+    in full and pass."""
     K, D, L, q = shape
     rc, out, _ = run_cli(capsys, ["audit", "--K", K, "--D", D, "--L", L, "--q", q] + extra)
     assert rc == 0
     lines = out.splitlines()
     assert "case=ParityEmbed" in lines[0]
-    assert lines[2] == f"feasibility: skipped ({work} exhaustive checks exceed --max-enum 512)"
+    trials = int(extra[1]) if extra else 20
+    assert lines[2] == (
+        f"feasibility: {trials}/{trials} trailing blocks fully feasible "
+        f"({supports} supports each)"
+    )
     assert lines[-1] == "audit: PASS"
 
 
@@ -302,7 +320,6 @@ def test_audit_alignment_case(capsys):
     [
         (["--trials", "0"], "need --trials >= 1, got 0"),
         (["--trials", "-3"], "need --trials >= 1, got -3"),
-        (["--max-enum", "-1"], "need --max-enum >= 0, got -1"),
     ],
 )
 def test_audit_rejects_counts_out_of_range(capsys, flags, detail):
@@ -313,6 +330,16 @@ def test_audit_rejects_counts_out_of_range(capsys, flags, detail):
     assert rc == 2
     assert out == ""
     assert err == f"error: BadShape: {detail}\n"
+
+
+@pytest.mark.parametrize("flags", [["--N", "2"], ["--max-enum", "5"]])
+def test_audit_has_no_n_or_max_enum(capsys, flags):
+    """audit takes neither --N nor --max-enum (its support cap is a
+    constant); either one is a usage error."""
+    with pytest.raises(SystemExit) as exc:
+        main(["audit", "--K", "12", "--D", "5", "--L", "2", "--q", "17"] + flags)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 # -- ilp ------------------------------------------------------------------
@@ -692,3 +719,20 @@ def test_usage_error_without_subcommand():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+def test_readme_command_table_matches_parser():
+    """README's command table names exactly the --options each subcommand defines."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    documented = {}
+    for line in readme.splitlines():
+        m = re.match(r"\| `iplt (\w+)([^`]*)` \|", line)
+        if m:
+            documented[m.group(1)] = set(re.findall(r"--[\w-]+", m.group(2)))
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    defined = {
+        name: {opt for a in p._actions for opt in a.option_strings if opt.startswith("--")}
+        - {"--help"}
+        for name, p in sub.choices.items()
+    }
+    assert documented == defined

@@ -1,13 +1,14 @@
 """Protocol engine: parameter derivation, query building, recovery."""
 
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
 
 from iplt import (
     AlignmentSingular,
-    Answer,
     BadShape,
     ClientSecret,
     Demand,
@@ -347,7 +348,7 @@ def test_composed_generator_manual():
     """Column i of the generator answer applies is G's column pi[i]."""
     g = FqMatrix(Q, [[1, 2, 3], [4, 5, 6]])
     identity = FqMatrix(Q, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    comp = answer(Query((), g, (2, 0, 1)), identity).Y
+    comp = answer(Query((), g, (2, 0, 1)), identity)
     assert comp == FqMatrix(Q, [[3, 1, 2], [6, 4, 5]])
     with pytest.raises(ShapeError):
         answer(Query((), g, (0, 1)), identity.take_rows([0, 1]))
@@ -400,9 +401,9 @@ def test_answer_matches_dense_oracle(shape, N, q):
         rng = random.Random(seed)
         query, _ = build_query(Demand.random(params, rng), params, rng)
         x = FqMatrix.random(q, params.K, N, rng)
-        assert answer(query, x).Y == _dense_answer(query, x)
+        assert answer(query, x) == _dense_answer(query, x)
     top = FqMatrix(q, [[q - 1] * N] * params.K, cols=N)
-    assert answer(_saturated(query), top).Y == _dense_answer(_saturated(query), top)
+    assert answer(_saturated(query), top) == _dense_answer(_saturated(query), top)
 
 
 def test_answer_alternating_stores():
@@ -414,7 +415,46 @@ def test_answer_alternating_stores():
     for _ in range(3):
         query, _ = build_query(Demand.random(params, rng), params, rng)
         for x in (*stores, *reversed(stores)):
-            assert answer(query, x).Y == _dense_answer(query, x)
+            assert answer(query, x) == _dense_answer(query, x)
+
+
+def test_answer_never_hashes_the_store(monkeypatch):
+    """The packing is cached by store identity: hashing X would read all of
+    it on every call, so answer must work, and agree, when hashing fails."""
+    params = derive_params(14, 4, 2, 65521, 4)
+    rng = random.Random(8)
+    query, _ = build_query(Demand.random(params, rng), params, rng)
+    x = FqMatrix.random(params.q, params.K, params.N, rng)
+    want = answer(query, FqMatrix(params.q, x.to_rows()))
+
+    def no_hash(self):
+        raise AssertionError("answer hashed the store")
+
+    monkeypatch.setattr(FqMatrix, "__hash__", no_hash)
+    assert answer(query, x) == want
+    assert answer(query, x) == want
+
+
+def test_answer_threads_share_the_packing_cache():
+    """Server threads answering from two stores at once, with thread switches
+    forced often, each get their own store's answer from the shared cache."""
+    params = derive_params(14, 4, 2, 65521, 4)
+    rng = random.Random(9)
+    query, _ = build_query(Demand.random(params, rng), params, rng)
+    stores = [FqMatrix.random(params.q, params.K, params.N, rng) for _ in range(2)]
+    wants = [_dense_answer(query, x) for x in stores]
+
+    def work(k):
+        return all(answer(query, stores[(k + i) % 2]) == wants[(k + i) % 2] for i in range(50))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            futures = [pool.submit(work, k) for k in range(6)]
+            assert all(f.result(timeout=60) for f in futures)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 # -- end-to-end recovery --------------------------------------------------------
@@ -470,15 +510,15 @@ def test_recover_validation():
     demand = Demand.random(params, rng)
     query, secret = build_query(demand, params, rng)
     x = FqMatrix.random(Q, 10, 1, rng)
-    ans = answer(query, x)
+    y = answer(query, x)
     with pytest.raises(ShapeError):
-        recover(Answer(Y=ans.Y.take_rows(range(3))), secret, params, demand)
+        recover(y.take_rows(range(3)), secret, params, demand)
     with pytest.raises(ShapeError):
-        recover(Answer(Y=FqMatrix(19, ans.Y.to_rows())), secret, params, demand)
+        recover(FqMatrix(19, y.to_rows()), secret, params, demand)
     other = Demand.random(params, random.Random(77))
     assert set(other.W) != set(demand.W)
     with pytest.raises(BadShape):
-        recover(ans, secret, params, other)
+        recover(y, secret, params, other)
 
 
 def test_recover_inconsistent_embedding():
