@@ -53,9 +53,25 @@ class MessageStore:
         return cls(q=q, K=K, N=N, X=FqMatrix.random(q, K, N, rng))
 
 
-def pack_entries(m: FqMatrix) -> bytes:
-    """m's entries in row-major order, 8 bytes little-endian each."""
-    return struct.pack(f"<{m.rows * m.cols}Q", *itertools.chain.from_iterable(m.data))
+_ENTRY_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+def entry_width(bound: int) -> int:
+    """Bytes per wire entry for values below bound: 1 up to 256, 2 up to
+    65,536, and 4 beyond (the store file keeps 8)."""
+    return 1 if bound <= 256 else 2 if bound <= 65536 else 4
+
+
+def entry_format(count: int, width: int) -> str:
+    """The struct format of count little-endian entries of width 1, 2, 4 or 8 bytes."""
+    return f"<{count}{_ENTRY_CODES[width]}"
+
+
+def pack_entries(m: FqMatrix, width: int = 8) -> bytes:
+    """m's entries in row-major order, width bytes little-endian each."""
+    return struct.pack(
+        entry_format(m.rows * m.cols, width), *itertools.chain.from_iterable(m.data)
+    )
 
 
 def unpack_entries(
@@ -68,13 +84,13 @@ def unpack_entries(
     what: str,
     width: int = 8,
 ) -> FqMatrix:
-    """Read a rows x cols matrix of little-endian entries, width (4 or 8)
-    bytes each, starting at offset.
+    """Read a rows x cols matrix of little-endian entries, width (1, 2, 4
+    or 8) bytes each, starting at offset.
 
     The first entry that is not below q raises error, naming the entry as
     what and giving its byte offset in data.
     """
-    flat = struct.unpack_from(f"<{rows * cols}{'I' if width == 4 else 'Q'}", data, offset)
+    flat = struct.unpack_from(entry_format(rows * cols, width), data, offset)
     try:
         return FqMatrix(q, [flat[i * cols : (i + 1) * cols] for i in range(rows)], cols=cols)
     except ValueError:

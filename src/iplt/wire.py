@@ -1,22 +1,29 @@
 """Length-prefixed binary framing and the TCP answer service.
 
 Frame: 4-byte little-endian length (payload size + 1), 1 kind byte
-(0x03 query, 0x02 answer, 0xFF error), then the payload.  Query payload:
-q, K, n, L, D, trailing rows and trailing cols (4 LE each), the n decoy
-L x D blocks and then the trailing block, row-major (4 LE per entry), and
-the permutation as K 4-byte LE values.  Answer payload: rows (4 LE) +
-N (4 LE) + entries (8 LE each).  Frames above 64 MiB are rejected.  The
-dense v1 query (kind 0x01) is no longer accepted.
+(0x04 query, 0x05 answer, 0xFF error), then the payload.  Frames above
+64 MiB are rejected.
+
+Each entry takes entry_width(bound) bytes, little-endian: 1 byte for
+values below bound <= 256, 2 for bound <= 65,536, and 4 beyond.  Query
+payload: q, K, n, L, D, trailing rows and trailing cols (4 LE each), the
+n decoy L x D blocks and then the trailing block, row-major at
+entry_width(q) bytes per entry, and the permutation as K values of
+entry_width(K) bytes.  Answer payload: rows (4 LE) + N (4 LE) + entries
+at entry_width(q) bytes each; the client knows q, so no width is sent.
+Earlier payloads (the dense v1 query, kind 0x01; the 4-byte block query,
+kind 0x03; the 8-byte answer, kind 0x02) are refused as malformed.
 
 The server side only ever touches the query and the stored matrix; one
-request per connection, handled concurrently over a read-only store.  It
-refuses a query whose q or K differs from the store's before unpacking
-any block.
+request per connection, handled concurrently over a read-only store.  A
+connection idle for _IDLE_TIMEOUT_S seconds is closed.  The server reads
+the length, the kind and the 28-byte query header first, and refuses a
+wrong kind, a query whose q or K differs from the store's, or a size that
+does not fit the header before it reads the rest of the frame.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import socket
 import socketserver
@@ -34,13 +41,14 @@ from .errors import (
 )
 from .matrix import FqMatrix
 from .protocol import Query, answer, is_permutation
-from .store import MessageStore, pack_entries, unpack_entries
+from .store import MessageStore, entry_format, entry_width, pack_entries, unpack_entries
 
-KIND_QUERY = 0x03
-KIND_ANSWER = 0x02
+KIND_QUERY = 0x04
+KIND_ANSWER = 0x05
 KIND_ERROR = 0xFF
 MAX_FRAME = 64 * 1024 * 1024
 _BACKGROUND_POLL_S = 0.05
+_IDLE_TIMEOUT_S = 30.0
 
 _QUERY_HEAD = struct.Struct("<7I")
 _ANSWER_HEAD = struct.Struct("<II")
@@ -51,25 +59,29 @@ _ANSWER_HEAD = struct.Struct("<II")
 
 def encode_query(query: Query) -> bytes:
     """Serialize the blocks and pi; the field order is carried in the payload."""
-    blocks, trailing, k = query.blocks, query.trailing, len(query.pi)
+    blocks, trailing, q, k = query.blocks, query.trailing, query.q, len(query.pi)
     L, D = (blocks[0].rows, blocks[0].cols) if blocks else (0, 0)
     if any((blk.rows, blk.cols) != (L, D) for blk in blocks):
         raise ShapeError("decoy blocks differ in shape")
-    head = _QUERY_HEAD.pack(query.q, k, len(blocks), L, D, trailing.rows, trailing.cols)
-    rows = itertools.chain.from_iterable(blk.data for blk in (*blocks, trailing))
-    entries = list(itertools.chain.from_iterable(rows))
-    entries += query.pi
-    return head + struct.pack(f"<{len(entries)}I", *entries)
+    width = entry_width(q)
+    return b"".join(
+        [
+            _QUERY_HEAD.pack(q, k, len(blocks), L, D, trailing.rows, trailing.cols),
+            *(pack_entries(blk, width) for blk in (*blocks, trailing)),
+            struct.pack(entry_format(k, entry_width(k)), *query.pi),
+        ]
+    )
 
 
-def _query_layout(payload: bytes) -> tuple[int, int, list[tuple[int, int]], int]:
-    """Validate a query header against the payload size without unpacking any
-    entry; returns (q, K, block shapes, offset of pi)."""
-    if len(payload) < _QUERY_HEAD.size:
+def _query_layout(head: bytes, size: int) -> tuple[int, int, list[tuple[int, int]], int]:
+    """Validate a query header against the payload size without reading any
+    entry; head holds at least the header.  Returns (q, K, block shapes,
+    offset of pi)."""
+    if size < _QUERY_HEAD.size:
         raise MalformedPayload(
-            f"query payload has {len(payload)} bytes, header needs {_QUERY_HEAD.size}"
+            f"query payload has {size} bytes, header needs {_QUERY_HEAD.size}"
         )
-    q, k, n, L, D, t_rows, t_cols = _QUERY_HEAD.unpack_from(payload, 0)
+    q, k, n, L, D, t_rows, t_cols = _QUERY_HEAD.unpack_from(head, 0)
     if q < 2 or q > 2**31:
         raise MalformedPayload(f"field order {q} out of range at offset 0")
     if k == 0:
@@ -82,29 +94,30 @@ def _query_layout(payload: bytes) -> tuple[int, int, list[tuple[int, int]], int]
         raise MalformedPayload(
             f"{n} blocks of width {D} and a trailing width of {t_cols} do not tile K={k}"
         )
-    pi_off = _QUERY_HEAD.size + (n * L * D + t_rows * t_cols) * 4
-    if len(payload) != pi_off + k * 4:
-        raise MalformedPayload(
-            f"query payload has {len(payload)} bytes, structure requires {pi_off + k * 4}"
-        )
+    pi_off = _QUERY_HEAD.size + (n * L * D + t_rows * t_cols) * entry_width(q)
+    expected = pi_off + k * entry_width(k)
+    if size != expected:
+        raise MalformedPayload(f"query payload has {size} bytes, structure requires {expected}")
     return q, k, [(L, D)] * n + [(t_rows, t_cols)], pi_off
 
 
 def decode_query(payload: bytes) -> Query:
     """Parse and validate a query payload; offsets name the failing byte."""
-    q, k, shapes, pi_off = _query_layout(payload)
+    q, k, shapes, pi_off = _query_layout(payload, len(payload))
+    width = entry_width(q)
     blocks = []
     off = _QUERY_HEAD.size
     for rows, cols in shapes:
         blocks.append(
-            unpack_entries(payload, off, rows, cols, q, MalformedPayload, "generator entry", 4)
+            unpack_entries(payload, off, rows, cols, q, MalformedPayload, "generator entry", width)
         )
-        off += rows * cols * 4
-    pi = struct.unpack_from(f"<{k}I", payload, pi_off)
+        off += rows * cols * width
+    pi_width = entry_width(k)
+    pi = struct.unpack_from(entry_format(k, pi_width), payload, pi_off)
     if not is_permutation(pi):
         seen = set()
         for idx, p in enumerate(pi):
-            off = pi_off + idx * 4
+            off = pi_off + idx * pi_width
             if p >= k:
                 raise MalformedPayload(f"permutation value {p} at offset {off} exceeds K-1")
             if p in seen:
@@ -114,8 +127,8 @@ def decode_query(payload: bytes) -> Query:
 
 
 def encode_answer(y: FqMatrix) -> bytes:
-    """Serialize the answer matrix Y."""
-    return _ANSWER_HEAD.pack(y.rows, y.cols) + pack_entries(y)
+    """Serialize the answer matrix Y, entry_width(q) bytes per entry."""
+    return _ANSWER_HEAD.pack(y.rows, y.cols) + pack_entries(y, entry_width(y.q))
 
 
 def decode_answer(payload: bytes, q: int) -> FqMatrix:
@@ -126,12 +139,15 @@ def decode_answer(payload: bytes, q: int) -> FqMatrix:
             f"answer payload has {len(payload)} bytes, header needs {_ANSWER_HEAD.size}"
         )
     rows, n = _ANSWER_HEAD.unpack_from(payload, 0)
-    expected = _ANSWER_HEAD.size + rows * n * 8
+    width = entry_width(q)
+    expected = _ANSWER_HEAD.size + rows * n * width
     if len(payload) != expected:
         raise MalformedPayload(
             f"answer payload has {len(payload)} bytes, structure requires {expected}"
         )
-    return unpack_entries(payload, _ANSWER_HEAD.size, rows, n, q, MalformedPayload, "answer entry")
+    return unpack_entries(
+        payload, _ANSWER_HEAD.size, rows, n, q, MalformedPayload, "answer entry", width
+    )
 
 
 def to_debug_json(query: Query) -> str:
@@ -171,14 +187,19 @@ def _recv_exact(sock: socket.socket, count: int) -> bytes:
     return b"".join(chunks)
 
 
-def recv_frame(sock: socket.socket) -> tuple[int, bytes]:
-    """Read one frame; returns (kind, payload)."""
+def _recv_length(sock: socket.socket) -> int:
+    """Read a frame's 4-byte length: the payload size plus the kind byte."""
     (length,) = struct.unpack("<I", _recv_exact(sock, 4))
     if length == 0:
         raise MalformedPayload("zero-length frame")
     if length > MAX_FRAME:
         raise FrameTooLarge(f"frame of {length} bytes exceeds cap {MAX_FRAME}")
-    body = _recv_exact(sock, length)
+    return length
+
+
+def recv_frame(sock: socket.socket) -> tuple[int, bytes]:
+    """Read one frame; returns (kind, payload)."""
+    body = _recv_exact(sock, _recv_length(sock))
     return body[0], body[1:]
 
 
@@ -197,28 +218,38 @@ def parse_endpoint(endpoint: str) -> tuple[str, int]:
 
 class _AnswerHandler(socketserver.BaseRequestHandler):
     def handle(self):
+        self.request.settimeout(_IDLE_TIMEOUT_S)
         try:
-            kind, payload = recv_frame(self.request)
+            y = self._read_and_answer()
         except IpltError as exc:
             self._reply_error(exc)
             return
-        if kind != KIND_QUERY:
-            self._reply_error(MalformedPayload(f"unexpected frame kind {kind:#x}"))
-            return
-        try:
-            # Refuse a query for another store before unpacking any block:
-            # decoding costs far more memory than the payload it reads.
-            q, k, _, _ = _query_layout(payload)
-            store = self.server.store
-            if q != store.q:
-                raise ShapeError(f"query over GF({q}), store over GF({store.q})")
-            if k != store.K:
-                raise ShapeError(f"store has {store.K} messages, query expects {k}")
-            y = answer(decode_query(payload), store.X)
-        except IpltError as exc:
-            self._reply_error(exc)
-            return
+        except TimeoutError:
+            return  # an idle client; the server closes the connection
         send_frame(self.request, KIND_ANSWER, encode_answer(y))
+
+    def _read_and_answer(self) -> FqMatrix:
+        """Read one query frame and answer it.
+
+        A wrong kind, a query for another store, or a size that does not
+        fit the header is refused before the rest of the frame is read:
+        a client may declare up to 64 MiB, and decoding costs far more
+        memory than the payload it reads.
+        """
+        length = _recv_length(self.request)
+        # The kind byte and the query header, or the whole frame if shorter.
+        first = _recv_exact(self.request, min(length, 1 + _QUERY_HEAD.size))
+        if first[0] != KIND_QUERY:
+            raise MalformedPayload(f"unexpected frame kind {first[0]:#x}")
+        head, size = first[1:], length - 1
+        q, k, _, _ = _query_layout(head, size)
+        store = self.server.store
+        if q != store.q:
+            raise ShapeError(f"query over GF({q}), store over GF({store.q})")
+        if k != store.K:
+            raise ShapeError(f"store has {store.K} messages, query expects {k}")
+        payload = head + _recv_exact(self.request, size - len(head))
+        return answer(decode_query(payload), store.X)
 
     def _reply_error(self, exc: Exception) -> None:
         text = f"{type(exc).__name__}: {exc}"
@@ -280,7 +311,12 @@ def fetch(endpoint: str, query: Query, timeout: float = 30.0) -> FqMatrix:
     """
     host, port = parse_endpoint(endpoint)
     with socket.create_connection((host, port), timeout=timeout) as sock:
-        send_frame(sock, KIND_QUERY, encode_query(query))
+        try:
+            send_frame(sock, KIND_QUERY, encode_query(query))
+        except (BrokenPipeError, ConnectionResetError):
+            # The server may refuse a query from its header and close
+            # before the body is sent; its error frame is still readable.
+            pass
         kind, payload = recv_frame(sock)
     if kind == KIND_ANSWER:
         return decode_answer(payload, query.q)

@@ -182,3 +182,25 @@ def v1_query_payload(query) -> bytes:
             struct.pack(f"<{k}I", *query.pi),
         ]
     )
+
+
+def v3_query_payload(query) -> bytes:
+    """The retired 4-byte block query payload (kind 0x03), for golden digests.
+
+    Seven 4-byte LE header words (q, K, n, L, D, trailing rows and cols),
+    then every decoy block and the trailing block row-major, then pi, all
+    as 4-byte LE words.
+    """
+    blocks, trailing = query.blocks, query.trailing
+    L, D = (blocks[0].rows, blocks[0].cols) if blocks else (0, 0)
+    head = [query.q, len(query.pi), len(blocks), L, D, trailing.rows, trailing.cols]
+    words = head + [v for blk in (*blocks, trailing) for row in blk.data for v in row]
+    words += query.pi
+    return struct.pack(f"<{len(words)}I", *words)
+
+
+def v2_answer_payload(y) -> bytes:
+    """The retired 8-byte answer payload (kind 0x02), for golden digests:
+    rows and N as 4-byte LE words, then the entries as 8-byte LE words."""
+    entries = [v for row in y.data for v in row]
+    return struct.pack("<II", y.rows, y.cols) + struct.pack(f"<{len(entries)}Q", *entries)

@@ -4,6 +4,7 @@ import dataclasses
 import random
 import socket
 import struct
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -39,9 +40,10 @@ from iplt import (
     store_save,
     to_debug_json,
 )
+from iplt.store import entry_width
 from iplt.wire import KIND_ERROR, KIND_QUERY, MAX_FRAME, recv_frame
 
-from oracles import v1_query_payload
+from oracles import v1_query_payload, v2_answer_payload, v3_query_payload
 
 Q = 17
 
@@ -126,12 +128,19 @@ def test_store_validates_construction():
 # -- payload codecs ----------------------------------------------------------------
 
 
+def test_entry_width_follows_the_bound():
+    """1 byte up to 256, 2 bytes up to 65,536, 4 bytes beyond."""
+    widths = {b: entry_width(b) for b in (2, 256, 257, 65536, 65537, 2**31)}
+    assert widths == {2: 1, 256: 1, 257: 2, 65536: 2, 65537: 4, 2**31: 4}
+
+
 def test_query_payload_golden_size_and_roundtrip():
-    """The pinned embedding fixture serializes to exactly 436 bytes."""
+    """The pinned embedding fixture serializes to exactly 130 bytes."""
     fx = example_fixture(3)
     payload = encode_query(fx.query)
-    # header, two 2x7 decoy blocks, the 5x10 trailing block, pi
-    assert len(payload) == 28 + 4 * (2 * 2 * 7 + 5 * 10) + 24 * 4 == 436
+    # header, two 2x7 decoy blocks and the 5x10 trailing block at 1 byte per
+    # entry (q = 17), pi at 1 byte per value (K = 24)
+    assert len(payload) == 28 + 1 * (2 * 2 * 7 + 5 * 10) + 1 * 24 == 130
     back = decode_query(payload)
     assert back == fx.query
     for which in (1, 2):
@@ -178,19 +187,19 @@ def test_decode_query_rejections():
     assert "do not tile K=24" in str(exc.value)
 
     oor = bytearray(payload)
-    oor[28:32] = struct.pack("<I", Q)
+    oor[28] = Q
     with pytest.raises(MalformedPayload) as exc:
         decode_query(bytes(oor))
     assert "offset 28" in str(exc.value)
 
-    pi_off = 28 + 3 * 2 * 8 * 4
+    pi_off = 28 + 3 * 2 * 8  # 1-byte entries at q = 17
     big_pi = bytearray(payload)
-    big_pi[pi_off : pi_off + 4] = struct.pack("<I", 24)
+    big_pi[pi_off] = 24
     with pytest.raises(MalformedPayload):
         decode_query(bytes(big_pi))
 
     dup_pi = bytearray(payload)
-    dup_pi[pi_off : pi_off + 4] = payload[pi_off + 4 : pi_off + 8]
+    dup_pi[pi_off] = payload[pi_off + 1]
     with pytest.raises(MalformedPayload) as exc:
         decode_query(bytes(dup_pi))
     assert "duplicate" in str(exc.value)
@@ -212,7 +221,7 @@ def test_decode_answer_rejections():
     with pytest.raises(MalformedPayload):
         decode_answer(payload + b"\0", Q)
     oor = bytearray(payload)
-    oor[8:16] = struct.pack("<Q", Q)
+    oor[8] = Q
     with pytest.raises(MalformedPayload) as exc:
         decode_answer(bytes(oor), Q)
     assert "offset 8" in str(exc.value)
@@ -320,13 +329,19 @@ def test_server_rejects_oversized_frame_header():
 
 
 def test_server_rejects_wrong_kind():
-    """A non-query frame, the retired dense v1 query (kind 0x01) among them,
-    draws a MalformedPayload error frame."""
+    """A non-query frame, the retired payloads among them (the dense v1
+    query, kind 0x01; the 8-byte answer, 0x02; the 4-byte block query,
+    0x03), draws a MalformedPayload error frame."""
     store = MessageStore.random(Q, 4, 1, random.Random(0))
-    v1 = v1_query_payload(example_fixture(1).query)
+    query = example_fixture(1).query
+    retired = (
+        (0x01, v1_query_payload(query)),
+        (0x02, v2_answer_payload(FqMatrix(Q, [[1, 2], [3, 4]]))),
+        (0x03, v3_query_payload(query)),
+    )
     with _loopback(store) as srv:
         host, port = parse_endpoint(srv.endpoint)
-        for kind, body in ((0x7E, b"junk"), (0x01, v1)):
+        for kind, body in ((0x7E, b"junk"), *retired):
             with socket.create_connection((host, port), timeout=10) as sock:
                 send_frame(sock, kind, body)
                 reply_kind, payload = recv_frame(sock)
@@ -334,11 +349,106 @@ def test_server_rejects_wrong_kind():
             assert payload.startswith(b"MalformedPayload")
 
 
+def test_server_closes_an_idle_connection(monkeypatch):
+    """A client that connects and sends nothing is dropped after the idle
+    timeout: it reads EOF."""
+    monkeypatch.setattr(iplt.wire, "_IDLE_TIMEOUT_S", 0.2)
+    store = MessageStore.random(Q, 4, 1, random.Random(0))
+    with _loopback(store) as srv:
+        with socket.create_connection(parse_endpoint(srv.endpoint), timeout=5) as sock:
+            assert sock.recv(1) == b""
+
+
+# A GF(19) header for K = 1024 with one 1021 x 1024 trailing block: its
+# layout fits a payload of 28 + 1021 * 1024 + 2 * 1024 bytes, about 1 MiB.
+_GF19_HEAD = struct.pack("<7I", 19, 1024, 0, 0, 0, 1021, 1024)
+_GF19_SIZE = 28 + 1021 * 1024 + 2 * 1024
+
+
+@pytest.mark.parametrize(
+    "kind, head, size, reply",
+    [
+        (KIND_QUERY, _GF19_HEAD, _GF19_SIZE, b"ShapeError: query over GF(19)"),
+        (0x03, _GF19_HEAD, _GF19_SIZE, b"MalformedPayload: unexpected frame kind 0x3"),
+        (KIND_QUERY, encode_query(example_fixture(1).query)[:28], 2**20, b"MalformedPayload"),
+    ],
+    ids=["wrong-field", "retired-kind", "size-mismatch"],
+)
+def test_server_refuses_from_the_header(kind, head, size, reply):
+    """A frame declaring about 1 MiB is refused from its length, kind and
+    query header alone, with no body sent, against a GF(17), K = 24 store."""
+    store = MessageStore.random(Q, 24, 1, random.Random(0))
+    with _loopback(store) as srv:
+        with socket.create_connection(parse_endpoint(srv.endpoint), timeout=5) as sock:
+            sock.sendall(struct.pack("<I", size + 1) + bytes([kind]) + head)
+            reply_kind, payload = recv_frame(sock)
+    assert reply_kind == KIND_ERROR
+    assert payload.startswith(reply)
+
+
+def test_fetch_reads_a_refusal_sent_before_the_body(monkeypatch):
+    """A query far larger than the socket buffers, refused from its header
+    while the client is still sending, surfaces as the server's ShapeError
+    rather than as a broken pipe."""
+    k = 4096
+    big = struct.pack("<7I", 19, k, 0, 0, 0, k, k) + bytes(k * k + 2 * k)
+    monkeypatch.setattr(iplt.wire, "encode_query", lambda query: big)
+    store = MessageStore.random(Q, 24, 1, random.Random(0))
+    with _loopback(store) as srv:
+        with pytest.raises(ShapeError, match=r"^query over GF\(19\)"):
+            iplt.fetch(srv.endpoint, example_fixture(1).query, timeout=5)
+
+
+def test_fetch_refuses_a_retired_answer_kind():
+    """An answer frame of the retired 8-byte kind 0x02 raises MalformedPayload."""
+    query = example_fixture(1).query
+    y = FqMatrix(Q, [[1, 2], [3, 4]])
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+
+        def stub():
+            conn, _ = listener.accept()
+            with conn:
+                recv_frame(conn)
+                send_frame(conn, 0x02, v2_answer_payload(y))
+
+        thread = threading.Thread(target=stub, daemon=True)
+        thread.start()
+        host, port = listener.getsockname()[:2]
+        with pytest.raises(MalformedPayload, match="unexpected frame kind 0x2"):
+            iplt.fetch(f"{host}:{port}", query, timeout=5)
+        thread.join(timeout=5)
+    assert not thread.is_alive()
+
+
+@pytest.mark.parametrize(
+    "shape, widths",
+    [((40, 6, 2, 2**31 - 1, 2), (4, 1)), ((300, 7, 2, 17, 1), (1, 2))],
+    ids=["q2^31-1", "q17-K300"],
+)
+def test_loopback_round_trip_at_each_width(shape, widths):
+    """Round trips over loopback with 4-byte entries (q = 2^31 - 1), and with
+    1-byte entries and 2-byte pi values (q = 17, K = 300)."""
+    params = derive_params(*shape)
+    assert (entry_width(params.q), entry_width(params.K)) == widths
+    rng = random.Random(7)
+    demand = Demand.random(params, rng)
+    store = MessageStore.random(params.q, params.K, params.N, rng)
+    query, secret = build_query(demand, params, rng)
+    entries = sum(blk.rows * blk.cols for blk in (*query.blocks, query.trailing))
+    w_q, w_k = widths
+    assert len(encode_query(query)) == 28 + w_q * entries + w_k * params.K
+    with _loopback(store) as srv:
+        ans = iplt.fetch(srv.endpoint, query)
+    assert len(encode_answer(ans)) == 8 + params.answer_rows * params.N * w_q
+    assert recover(ans, secret, params, demand) == demand.value(store.X)
+
+
 def test_block_payload_round_trips_at_k20000():
     """K = 20,000 round-trips over loopback in one frame.
 
-    The block payload grows linearly in K: here 28 + 4 * (n*L*D + trailing
-    entries) + 4*K = 480,028 bytes.  The dense v1 payload of the same query
+    The block payload grows linearly in K: here 28 + 2 * (n*L*D + trailing
+    entries) + 2*K = 240,028 bytes, with 2-byte entries at q = 65521 and
+    2-byte pi values at K = 20,000.  The dense v1 payload of the same query
     would need 16 + 8 * 2000 * 20000 + 4 * 20000 = 320,080,016 bytes, over
     the 64 MiB frame cap.
     """
@@ -350,7 +460,7 @@ def test_block_payload_round_trips_at_k20000():
     payload = encode_query(query)
     trailing = query.trailing
     entries = params.n * params.L * params.D + trailing.rows * trailing.cols
-    assert len(payload) == 28 + 4 * entries + 4 * params.K
+    assert len(payload) == 28 + 2 * entries + 2 * params.K == 240_028
     assert len(payload) + 1 <= MAX_FRAME
     with _loopback(store) as srv:
         ans = iplt.fetch(srv.endpoint, query)
