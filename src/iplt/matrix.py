@@ -9,11 +9,13 @@ and multipliers, and GRS extension around pinned columns.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import operator
 import random
 from typing import Iterable, Optional, Sequence
 
+from .draws import below, distinct, distinct_rows, nonzero
 from .errors import (
     BadGrsParameters,
     DegenerateCauchy,
@@ -64,7 +66,8 @@ class FqMatrix:
 
     @classmethod
     def random(cls, q: int, rows: int, cols: int, rng: random.Random) -> "FqMatrix":
-        return cls(q, [[rng.randrange(q) for _ in range(cols)] for _ in range(rows)], cols=cols)
+        flat = below(rng, q, rows * cols)
+        return cls(q, [flat[r * cols : (r + 1) * cols] for r in range(rows)], cols=cols)
 
     # -- access --------------------------------------------------------------
 
@@ -304,21 +307,40 @@ def grs_generator(
         raise BadGrsParameters("points must be n distinct field elements")
     if len(mults) != n or 0 in mults:
         raise BadGrsParameters("multipliers must be n nonzero field elements")
-    # Row i + 1 is row i times the points, entry by entry; row 0 is the
-    # multipliers themselves (p^0 = 1, also for p = 0).
+    return FqMatrix(q, _grs_rows(q, k, pts, mults), cols=n)
+
+
+def _grs_rows(q: int, k: int, pts: list[int], mults: list[int]) -> list[list[int]]:
+    """Rows m_j * p_j^i, i < k, by recurrence: row 0 is the multipliers
+    themselves (p^0 = 1, also for p = 0), and row i + 1 is row i times the
+    points, entry by entry."""
     rows = [mults]
     for _ in range(k - 1):
         rows.append([v * p % q for v, p in zip(rows[-1], pts)])
-    return FqMatrix(q, rows[:k], cols=n)
+    return rows[:k]
 
 
 def random_grs(q: int, k: int, n: int, rng: random.Random) -> FqMatrix:
     """Random GRS generator: uniform distinct points, uniform nonzero multipliers."""
+    return random_grs_blocks(q, k, n, 1, rng)[0]
+
+
+def random_grs_blocks(q: int, k: int, n: int, count: int, rng: random.Random) -> list[FqMatrix]:
+    """count independent random_grs(q, k, n) draws, drawn as one batch.
+
+    The points of all blocks come from one draw, refilled only for a block
+    that repeats a point (draws.distinct_rows), and the multipliers from
+    another; the row recurrence then runs once over all count * n columns.
+    """
+    if not 0 <= k <= n:
+        raise BadGrsParameters(f"need 0 <= k <= n, got k={k} n={n}")
     if n > q:
         raise BadGrsParameters(f"need n <= q, got n={n} q={q}")
-    points = rng.sample(range(q), n)
-    multipliers = [rng.randrange(1, q) for _ in range(n)]
-    return grs_generator(q, k, n, points, multipliers)
+    if count == 0:
+        return []  # nothing to draw; skips the batch's fixed cost on small shapes
+    points = [p for row in distinct_rows(rng, q, count, n) for p in row]
+    rows = _grs_rows(q, k, points, nonzero(rng, q, count * n))
+    return [FqMatrix(q, [row[c * n : (c + 1) * n] for row in rows], cols=n) for c in range(count)]
 
 
 def grs_parameters(g: FqMatrix) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -406,19 +428,19 @@ def grs_extend(
     pinned = set(positions)
     if len(positions) != n or len(pinned) != n or not pinned <= set(range(width)):
         raise ShapeError(f"need {n} distinct positions in [0, {width}), got {list(positions)}")
+    free = [col for col in range(width) if col not in pinned]
     pts = [0] * width
     mults = [0] * width
     for j, col in enumerate(positions):
         pts[col], mults[col] = points[j], multipliers[j]
-    taken = set(points)
-    for col in range(width):
-        if col in pinned:
-            continue
-        z = rng.randrange(q)
-        while z in taken:
-            z = rng.randrange(q)
-        taken.add(z)
-        pts[col], mults[col] = z, rng.randrange(1, q)
+    # Index i of the q - n unused field elements stands for the i-th
+    # smallest of them.  Below the j-th smallest used point (from 0) lie
+    # p - j unused ones, so i lands past exactly the used points whose
+    # p - j <= i.
+    gaps = [p - j for j, p in enumerate(sorted(points))]
+    fresh = distinct(rng, q - n, len(free))
+    for col, i, m in zip(free, fresh, nonzero(rng, q, len(free))):
+        pts[col], mults[col] = i + bisect.bisect_right(gaps, i), m
     ext = grs_generator(q, k, width, pts, mults)
     try:
         t = solve(ext.take_cols(positions).transpose(), g.transpose()).transpose()

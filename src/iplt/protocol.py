@@ -22,9 +22,13 @@ Either way the demand sits at trailing columns h, and the client recovers
 it with the one T that solves T @ trailing = U, where U is V placed at h
 (embedding_transform).
 
-All randomness flows through one random.Random instance, so a seed fully
-determines the query.  Privacy assumes the server cannot predict that rng,
-so a private query draws from an unpredictable one (random.SystemRandom).
+Every draw reads rng.randbytes through iplt.draws, which turns the bytes
+into exact uniform draws, so any random.Random can feed a query and a seed
+fully determines it.  A seed does not replay a query recorded while the
+draws went through random.Random's own randrange, sample and shuffle: it
+now gives a different query from the same distribution.  Privacy assumes
+the server cannot predict rng, so a private query draws from an
+unpredictable one (random.SystemRandom).
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .bounds import check_shape, slot_width
+from .draws import below, distinct, nonzero, shuffle, subset
 from .errors import (
     AlignmentSingular,
     BadShape,
@@ -55,6 +60,7 @@ from .matrix import (
     grs_parameters,
     is_mds,
     random_grs,
+    random_grs_blocks,
     right_null_space,
     solve,
 )
@@ -154,7 +160,7 @@ class Demand:
     @classmethod
     def random(cls, params: ProtocolParams, rng: random.Random) -> "Demand":
         """Uniform sorted support and a random GRS coefficient matrix."""
-        w = sorted(rng.sample(range(params.K), params.D))
+        w = subset(rng, params.K, params.D)
         v = random_grs(params.q, params.L, params.D, rng)
         return cls(w, v, check_mds=False)
 
@@ -224,14 +230,14 @@ class ClientSecret:
 
 def select_block(params: ProtocolParams, rng: random.Random) -> int:
     """Sample the demand block: block j < n with weight D/K, block n with (D+R)/K."""
-    v = rng.randrange(params.K)
+    (v,) = below(rng, params.K, 1)
     return min(v // params.D, params.n)
 
 
 def shuffle_demand(demand: Demand, rng: random.Random) -> Demand:
     """Apply one uniform column shuffle to (W, V); the target V @ X_W is unchanged."""
     idx = list(range(len(demand.W)))
-    rng.shuffle(idx)
+    shuffle(rng, idx)
     w = tuple(demand.W[i] for i in idx)
     return Demand(w, demand.V.take_cols(idx), check_mds=False)
 
@@ -300,9 +306,9 @@ def solve_alignment(
         if ssum == 0:
             raise AlignmentSingular("aligned sum vanished at a planted slot")
         alpha[ku] = pow(ssum, q - 2, q)
-    for j in range(t + m):
-        if alpha[j] is None:
-            alpha[j] = rng.randrange(1, q)
+    free = [j for j in range(t + m) if alpha[j] is None]
+    for j, a in zip(free, nonzero(rng, q, len(free))):
+        alpha[j] = a
     return c, tuple(alpha)  # type: ignore[arg-type]
 
 
@@ -399,17 +405,19 @@ def build_query(
         col = {w: j for j, w in enumerate(demand.W)}
         points, mults = (tuple(seq[col[w]] for w in shuffled.W) for seq in grs)
     b = select_block(params, rng)
-    diag = [shuffled.V if i == b else random_grs(q, L, D, rng) for i in range(n)]
+    diag = random_grs_blocks(q, L, D, n - (b < n), rng)
+    if b < n:
+        diag.insert(b, shuffled.V)
 
     h: Optional[tuple[int, ...]] = None
 
     if params.case == ALIGN_S:
         t, m = params.t, params.m
         assert t is not None and m is not None
-        pts = rng.sample(range(q), t + m)
+        pts = distinct(rng, q, t + m)
         omega = cauchy(q, pts[:m], pts[m:])
         if b == n:
-            planted = sorted(rng.sample(range(t + m), t + 1))
+            planted = subset(rng, t + m, t + 1)
             h = tuple(slot_columns(params.S, planted))
             if grs is None:
                 c_matrix = shuffled.V
@@ -420,10 +428,10 @@ def build_query(
             _, alpha = solve_alignment(q, t, m, k_idx, l_idx, omega, rng)
         else:
             c_matrix = random_grs(q, L, D + R, rng)
-            alpha = tuple(rng.randrange(1, q) for _ in range(t + m))
+            alpha = tuple(nonzero(rng, q, t + m))
         trailing = _assemble_align_trailing(params, c_matrix, omega, alpha)
     elif b == n:
-        h = tuple(sorted(rng.sample(range(D + R), D)))
+        h = tuple(subset(rng, D + R, D))
         if grs is None:
             trailing = random_grs(q, D + R, D + R, rng)
         else:
@@ -439,7 +447,7 @@ def build_query(
     # messages in ascending order.  Inserting each demand message's position
     # at its own index, in ascending message order, then puts pi[msg] at msg.
     pi = list(itertools.filterfalse(set(demand_pos).__contains__, range(K)))
-    rng.shuffle(pi)
+    shuffle(rng, pi)
     for msg, pos in sorted(zip(shuffled.W, demand_pos)):
         pi.insert(msg, pos)
 

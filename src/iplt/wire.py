@@ -16,10 +16,11 @@ kind 0x03; the 8-byte answer, kind 0x02) are refused as malformed.
 
 The server side only ever touches the query and the stored matrix; one
 request per connection, handled concurrently over a read-only store.  A
-connection idle for _IDLE_TIMEOUT_S seconds is closed.  The server reads
-the length, the kind and the 28-byte query header first, and refuses a
-wrong kind, a query whose q or K differs from the store's, or a size that
-does not fit the header before it reads the rest of the frame.
+connection that has not delivered its whole query frame _IDLE_TIMEOUT_S
+seconds after it was accepted is closed, however it paces its bytes.  The
+server reads the length, the kind and the 28-byte query header first, and
+refuses a wrong kind, a query whose q or K differs from the store's, or a
+size that does not fit the header before it reads the rest of the frame.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import socket
 import socketserver
 import struct
 import threading
+import time
 
 from . import errors as _errors
 from .errors import (
@@ -175,10 +177,18 @@ def send_frame(sock: socket.socket, kind: int, payload: bytes) -> None:
     sock.sendall(struct.pack("<I", length) + bytes([kind]) + payload)
 
 
-def _recv_exact(sock: socket.socket, count: int) -> bytes:
+def _recv_exact(sock: socket.socket, count: int, deadline: float | None = None) -> bytes:
+    """Read exactly count bytes.  With a deadline (a time.monotonic() value)
+    each read waits only for what is left of it, so the bytes must all
+    arrive by then, or TimeoutError is raised."""
     chunks = []
     got = 0
     while got < count:
+        if deadline is not None:
+            left = deadline - time.monotonic()
+            if left <= 0:
+                raise TimeoutError(f"deadline passed after {got} of {count} bytes")
+            sock.settimeout(left)
         chunk = sock.recv(min(65536, count - got))
         if not chunk:
             raise MalformedPayload(f"connection closed after {got} of {count} bytes")
@@ -187,9 +197,9 @@ def _recv_exact(sock: socket.socket, count: int) -> bytes:
     return b"".join(chunks)
 
 
-def _recv_length(sock: socket.socket) -> int:
+def _recv_length(sock: socket.socket, deadline: float | None = None) -> int:
     """Read a frame's 4-byte length: the payload size plus the kind byte."""
-    (length,) = struct.unpack("<I", _recv_exact(sock, 4))
+    (length,) = struct.unpack("<I", _recv_exact(sock, 4, deadline))
     if length == 0:
         raise MalformedPayload("zero-length frame")
     if length > MAX_FRAME:
@@ -218,27 +228,28 @@ def parse_endpoint(endpoint: str) -> tuple[str, int]:
 
 class _AnswerHandler(socketserver.BaseRequestHandler):
     def handle(self):
-        self.request.settimeout(_IDLE_TIMEOUT_S)
         try:
-            y = self._read_and_answer()
+            y = self._read_and_answer(time.monotonic() + _IDLE_TIMEOUT_S)
+        except TimeoutError:
+            return  # the frame did not arrive in time; the server closes the connection
         except IpltError as exc:
             self._reply_error(exc)
             return
-        except TimeoutError:
-            return  # an idle client; the server closes the connection
+        # The reads left the socket timeout at what remained of the deadline.
+        self.request.settimeout(_IDLE_TIMEOUT_S)
         send_frame(self.request, KIND_ANSWER, encode_answer(y))
 
-    def _read_and_answer(self) -> FqMatrix:
-        """Read one query frame and answer it.
+    def _read_and_answer(self, deadline: float) -> FqMatrix:
+        """Read one query frame, all of it by the deadline, and answer it.
 
         A wrong kind, a query for another store, or a size that does not
         fit the header is refused before the rest of the frame is read:
         a client may declare up to 64 MiB, and decoding costs far more
         memory than the payload it reads.
         """
-        length = _recv_length(self.request)
+        length = _recv_length(self.request, deadline)
         # The kind byte and the query header, or the whole frame if shorter.
-        first = _recv_exact(self.request, min(length, 1 + _QUERY_HEAD.size))
+        first = _recv_exact(self.request, min(length, 1 + _QUERY_HEAD.size), deadline)
         if first[0] != KIND_QUERY:
             raise MalformedPayload(f"unexpected frame kind {first[0]:#x}")
         head, size = first[1:], length - 1
@@ -248,11 +259,12 @@ class _AnswerHandler(socketserver.BaseRequestHandler):
             raise ShapeError(f"query over GF({q}), store over GF({store.q})")
         if k != store.K:
             raise ShapeError(f"store has {store.K} messages, query expects {k}")
-        payload = head + _recv_exact(self.request, size - len(head))
+        payload = head + _recv_exact(self.request, size - len(head), deadline)
         return answer(decode_query(payload), store.X)
 
     def _reply_error(self, exc: Exception) -> None:
         text = f"{type(exc).__name__}: {exc}"
+        self.request.settimeout(_IDLE_TIMEOUT_S)
         try:
             send_frame(self.request, KIND_ERROR, text.encode("utf-8"))
         except OSError:

@@ -3,6 +3,8 @@
 Everything here is written the slow, obvious way (Leibniz determinants,
 minor expansions, exhaustive partition search) and shares no code with the
 package under test, so agreement between the two is meaningful evidence.
+StubRng, at the end, is the byte source that drives iplt.draws through
+chosen words in the exact draw tests.
 """
 
 from __future__ import annotations
@@ -204,3 +206,19 @@ def v2_answer_payload(y) -> bytes:
     rows and N as 4-byte LE words, then the entries as 8-byte LE words."""
     entries = [v for row in y.data for v in row]
     return struct.pack("<II", y.rows, y.cols) + struct.pack(f"<{len(entries)}Q", *entries)
+
+
+class StubRng:
+    """Minimal rng stand-in: randbytes serves preset values, in order, as
+    the little-endian 32-bit words that iplt.draws reads."""
+
+    def __init__(self, values):
+        self._vals = list(values)
+
+    def randbytes(self, n: int) -> bytes:
+        count = n // 4
+        words, self._vals = self._vals[:count], self._vals[count:]
+        return struct.pack(f"<{count}I", *words)
+
+    def exhausted(self) -> bool:
+        return not self._vals

@@ -159,7 +159,7 @@ def test_demo_alignment_golden(capsys):
     assert rc == 0
     assert out.splitlines() == [
         "params: K=24 D=9 L=2 q=17 case=AlignS answer_rows=8",
-        "demand W (1-based): 2 9 10 13 14 16 17 19 24",
+        "demand W (1-based): 3 4 5 6 7 9 14 19 22",
         "store: 24 messages of 1 symbols over GF(17)",
         "query: generator 8x24, demand block 1",
         "answer: 8 rows",
@@ -176,9 +176,9 @@ def test_demo_embedding_golden(capsys):
     assert rc == 0
     assert out.splitlines() == [
         "params: K=24 D=7 L=2 q=17 case=ParityEmbed answer_rows=9",
-        "demand W (1-based): 2 3 6 9 10 12 23",
+        "demand W (1-based): 5 9 10 16 20 21 22",
         "store: 24 messages of 1 symbols over GF(17)",
-        "query: generator 9x24, demand block 2",
+        "query: generator 9x24, demand block 0",
         "answer: 9 rows",
         "audit: candidates=122, posterior=7/24 each, ok",
         "recovered: OK, rate 2/9",
@@ -214,7 +214,7 @@ def test_demo_flag_overrides_environment(capsys, monkeypatch):
         capsys, ["demo", "--K", "24", "--D", "7", "--L", "2", "--q", "17", "--seed", "2"]
     )
     assert rc == 0
-    assert out.splitlines()[1] == "demand W (1-based): 2 3 6 9 10 12 23"
+    assert out.splitlines()[1] == "demand W (1-based): 5 9 10 16 20 21 22"
 
 
 # -- audit ----------------------------------------------------------------

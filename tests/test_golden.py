@@ -39,52 +39,52 @@ SEEDS = range(20)
 
 GOLDEN = {
     (24, 7, 2, 17, 2): (
-        "24a818ef30761604e5b09325c6372098eec440b16e56de1645e29c512e15766d",
-        "7e7b149c99e8e2365b30027f5934d38bc1a18365a91d9c62c77c548a4e8fca96",
-        "77b22f9e85e856d27b17e1d74b9ebabf9e7856895768fd64713c324d6572087f",
-        "fa6f3e706b011f122413ecfde7aa9e74a5d78ea84d5e15f1d2563ff43b72ba29",
-        "43c344b6c7d08db5487afaecdeccc78f56adae6f5bcdb202a47ccf7121e4bfaa",
-        "8a7e4be6de038917076521229ee8d8f31627f72a18c6421380f9f1fd291c0054",
+        "eaf6bb0c7dcd1380fa20bf44725637d7fb2efb30e8952b45f87a881c5a9624e2",
+        "cc9c25cdd7c4c40ec3419af3837c5d7fa3923ce0567124bb705c27aed20de44f",
+        "5bbedd65dae4f420324379f798bb851dda14ab2780ef1738eb2f68b633864ae6",
+        "bf8f5ea214618e7c081953d1609e4b9d79177e98e1578ac4edd861b63d7e98c7",
+        "1a3ed874c663cc64fcfb088ef8d1822b7e9ab528aa989ccf0f9f13f8046dc5ef",
+        "bfb3d5f5941d9c5e31f48651b48575ac46657bfd9b1064db581c1dabc22b5e7d",
     ),
     (24, 9, 2, 17, 2): (
-        "895b7af20e18f5179dd9cfdd858e14ed5e33440848517e2587bedd15429599cb",
-        "b14c8934babc782bbb9971438dda9e52bd040de07a51e017572398b755c8a778",
-        "fa8b056354c4c9e4c0cfa2c077957f831bdfe52744faaca63f4bf5fec3f77dce",
-        "c67fae6c19a33c341d467fdbfa57ecfd89be9cff4cce284bf10f2ca7b831f996",
-        "2330dbb440f7acdb3d413a4e3d6b5ff869aa798f3a7d18958fa049d28b1f462d",
-        "7abfcb1264e8857d729959f7d098b58b4c9a831599b5bab0d14ade42dd555e6e",
+        "d166092aa96d2aac9e8a8d04ed2e5e85368618798ffbf711d18d05da85f91968",
+        "a47f9b4a1bb06fb8d1b7f43b538b2801ca45ac0e2de4d928f9b974dd4d607024",
+        "022b924d516264d6da736b4ee4cbee31fd9e019fffe55b4ac698ac3d030cd372",
+        "b61d3b7d1c2f92cd2abd6dd63f92476cba8cacf45565b8d4e2e598dd25eab47d",
+        "ab8c9b05563850e6020163727be41788970e87261cf0eb728cdc90f8976aec64",
+        "38ba6f73330d543c8bf84852ac0dc5867cfc02cbf2898dbd71cef5805f404521",
     ),
     (24, 8, 2, 31, 2): (
-        "5cd8fa383f85fd963fa15d58fe83edb8d7c70a403f29d0b7a4ac20703e8b3c58",
-        "50fab4dc424551685e1f59d583c5d4502885af74dd188d7b89283fa11638c14a",
-        "926703d1044d770238efab73b90238a9b90e90c172ce4c4c9f5ed203ccc6881a",
-        "f585b9bd94ffea22520b7e69afc827d112208ae90f02713632d165a0cad5d713",
-        "e3d698d80242c6eac86143ff2dbb4bc15acbbbd29bfaf20bbe3e05db350e30ad",
-        "4624fd70a3af467ca4b83a8e21c943d5610ec2b980a0c11e1f83b60585d7ba2d",
+        "1298351b9c95bcf47b85a3d73776893d9aeddc00c58959693c9ceea8c057184e",
+        "d11486e9b370ada39da8c6de0f4daa5f3caba4730642c4eb575ce2b62525e656",
+        "38d105f027f37a7f783c6a0c1b62cd0adcbd0eaf62ce3173d45febc89665f86c",
+        "bf123710d991e11d7969659b16f5fae6bc2b0b56f33480ef1cf731bb663a4bba",
+        "fc5559b1f067fad7369445736908e2b87ed92816fd2e8fe71ca7b50e6e9f9b03",
+        "e9900c50a5c2ac75b469880cb8ebcd45228dc7b2ca8e69b3129445fc08f70a2b",
     ),
     (400, 50, 5, 65521, 4): (
-        "bafc31f57f10404fb3f18e154d7e3e097d0812efb58476bc9995879df8e19149",
-        "cee7177e60588d1e9d47bb3bd5ea3b17f4a3d54fb8f44fa7db9371e8095e79e5",
-        "3e974e2cb6b114908c50c7efe910751534ab2d63f0fd67e66b0a9b52679587b8",
-        "bfea570c1a3132de30cf9ad9e4b11601170a725f6f72a38b06c32a6048103ae8",
-        "153573be801198efe86bd6016d370988e11ffadc3747c1780af2cc99c5dab949",
-        "699d1a7389c79de8d579a28c8cf89ebdcb87da2eedd3b63a109250957e23c6a9",
+        "0760c9bce9b4755aa205cd926685e78e5230adf9f084d0a6e0543160769b4908",
+        "4da6d038c6973fcc1d25b9f51eea899e7eaccb080f415ee8b1e8c4c15c03337a",
+        "b5e011f6d2034ed901c606aaad581ce561130876ad3c5431c9471aef4df6a7de",
+        "4b22b65246b15a972e27a7b0f69c248f697c682a6c1ef69df587f8394f3061c3",
+        "89e59abe0567daf9d6cdb6ffed2c3c3f33a6437e65453ed7a1145c3f2666de90",
+        "b1fb9fd4a63a5633703660efbac48e2da9391c92b7f6387e00d91592f6d2eabd",
     ),
     (430, 50, 5, 65521, 4): (
-        "0aa5865f0a34acb83f65b46dc857b68054f311e52ab650e8052965a8a26572dd",
-        "5eac25310bea729e7bda08e70876acdf3b1e49aad65663d41317ea38c6efe066",
-        "b00d30c8aa4bc0e1e74925875ce34b00170e1a1cebee8d713bb123a67837adc0",
-        "1535fe7d27748bd39a90fe83884abc85c3f924c9f90d575e963c3e19232259d9",
-        "7940a847c5717a609f8a8c95e1dc31df239357092308c9d387d7f111538e1336",
-        "ab30d01a7164ed2443eed9ac3705ddc2e6ac1ed290021c1fbfc28c5db703b397",
+        "654cf6eac51a71f36bb2a65d15a21be9523b04869838e6498236b08d81e4c85d",
+        "828ef9c47f44fd0895e953b127f7c1c585500642db205072ad1dc9a8fd9635ed",
+        "a914175ff7be22a09be8f1a03d8f7291e1cc7b785ae83db42938522c8617791f",
+        "e7caa779d14f90cd235c6929194e0e443716dcfdd346679be38408639a772087",
+        "8d9da01a136dd7506fce64e1162f9d7130e65790a6be643e42fda7bb4f0869c1",
+        "a82073a8c71ae0339b46b91fc0585cb586451f94269d039500868faec3ee2b7f",
     ),
     (10, 3, 3, 17, 2): (
-        "c266669498ea1971959fef53bff3fc21c598f901da2d97a7265ceebe6681d9d7",
-        "d810895925f218c9e5d82270ba46e29730625aa640826e63e0c6248776c30b49",
-        "199bb3cf65b452ea21662e7082aee1163e315cf0b03b70ada9ca3315a766c4fe",
-        "009d7947a64b954124a35f28e60e2e3b027c60109c71c95c1e0d8fc4efd23b0d",
-        "2040e741fe83a39170b6ff5b1589f0d18d381ad72fe3d745dabafd958ae3894f",
-        "fc9061e4b19c3f90529b762437f2586d82026f5c6af37065ef73e28e03b27343",
+        "d615eef71eea61a005907495dfa7c5ca3c3ee290a098da4179fc5e64ffff5356",
+        "b499313f3b7ec9773a5926492815715c513627d42e734b09da97c143f32efdc0",
+        "2c595e3e90080d04c3ab9341a5af799399ad8c1e270221a1d03c2a3910be4775",
+        "4fdd9875693c42e06e1e1429b9f6e5a890e45926013affbf0467018a836d2963",
+        "8fc3f09cbb1c2052c4aa159934613584659598e022c4cd09b2b640f5eaf50ac6",
+        "e036b86c2b0bc7ca6fa5c142cb277d5391e3c1df3add788e41f2d01dae365fe7",
     ),
 }
 

@@ -325,6 +325,8 @@ def test_grs_generator_rejections():
         grs_generator(Q, 2, 3, (1, 2, 3), (1, 0, 1))
     with pytest.raises(BadGrsParameters):
         random_grs(Q, 2, 18, random.Random(0))
+    with pytest.raises(BadGrsParameters):
+        random_grs(Q, 4, 3, random.Random(0))
 
 
 def test_random_grs_deterministic_and_mds():

@@ -36,21 +36,12 @@ from iplt import (
     solve_alignment,
 )
 
+from iplt.matrix import grs_generator, grs_parameters, random_grs_blocks, right_null_space
 from iplt.protocol import ALIGN_S, _assemble_align_trailing
 
-from oracles import NON_GRS_V_17, naive_align_trailing, naive_matmul
+from oracles import NON_GRS_V_17, StubRng, naive_align_trailing, naive_matmul
 
 Q = 17
-
-
-class StubRng:
-    """Minimal rng stand-in whose randrange pops from a preset list."""
-
-    def __init__(self, values):
-        self._vals = list(values)
-
-    def randrange(self, *args, **kwargs):
-        return self._vals.pop(0)
 
 
 # -- parameter derivation -----------------------------------------------------
@@ -175,6 +166,27 @@ def test_select_block_exact_weights():
         b = select_block(params, StubRng([v]))
         counts[b] = counts.get(b, 0) + 1
     assert counts == {0: 7, 1: 7, 2: 10}
+
+
+def test_batched_decoy_blocks_are_exact_grs_draws():
+    """Each block of one batched draw is the GRS generator of its own
+    distinct points and nonzero multipliers, and grs_parameters recovers
+    its code.  Block 0 repeats point 5 and draws three refills: 5 again is
+    skipped, 9 completes the block, and 0 is not read."""
+    words = [
+        *(1, 5, 5), *(2, 3, 4),  # points, one draw for both blocks
+        *(5, 9, 0),  # block 0's refills
+        *(0, 3, 15), *(1, 16, 7),  # multipliers: w % 16 + 1
+    ]
+    rng = StubRng(words)
+    blocks = random_grs_blocks(Q, 2, 3, 2, rng)
+    assert rng.exhausted()
+    expected = [((1, 5, 9), (1, 4, 16)), ((2, 3, 4), (2, 1, 8))]
+    assert len(blocks) == 2
+    for blk, (points, mults) in zip(blocks, expected):
+        assert blk == grs_generator(Q, 2, 3, points, mults)
+        got = grs_generator(Q, 2, 3, *grs_parameters(blk))
+        assert right_null_space(got) == right_null_space(blk)
 
 
 # -- alignment ----------------------------------------------------------------

@@ -2,9 +2,11 @@
 
 import dataclasses
 import random
+import select
 import socket
 import struct
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -357,6 +359,33 @@ def test_server_closes_an_idle_connection(monkeypatch):
     with _loopback(store) as srv:
         with socket.create_connection(parse_endpoint(srv.endpoint), timeout=5) as sock:
             assert sock.recv(1) == b""
+
+
+def test_server_closes_a_trickling_connection(monkeypatch):
+    """A client that sends a valid header and then one byte every 0.05 s
+    is closed once its frame is overdue: the timeout bounds the whole
+    frame, not each read."""
+    timeout = 0.2
+    monkeypatch.setattr(iplt.wire, "_IDLE_TIMEOUT_S", timeout)
+    payload = encode_query(example_fixture(1).query)
+    store = MessageStore.random(Q, 24, 1, random.Random(0))
+    with _loopback(store) as srv:
+        with socket.create_connection(parse_endpoint(srv.endpoint), timeout=5) as sock:
+            start = time.monotonic()
+            sock.sendall(struct.pack("<I", len(payload) + 1) + bytes([KIND_QUERY]) + payload[:28])
+            closed = False
+            for byte in payload[28:]:  # 72 bytes: 3.6 s if nothing closes the connection
+                try:
+                    if select.select([sock], [], [], 0.05)[0]:
+                        closed = sock.recv(1) == b""
+                        break
+                    sock.sendall(bytes([byte]))
+                except (BrokenPipeError, ConnectionResetError):
+                    closed = True
+                    break
+            elapsed = time.monotonic() - start
+    assert closed
+    assert elapsed < 2 * timeout
 
 
 # A GF(19) header for K = 1024 with one 1021 x 1024 trailing block: its
