@@ -5,6 +5,15 @@ Everything is computed exactly with integer arithmetic; no floats anywhere.
 Structured constructions used by the protocol live here too: Cauchy blocks,
 generalized Reed-Solomon (GRS) generators, recovery of a GRS code's points
 and multipliers, and GRS extension around pinned columns.
+
+Entries are checked once, where they enter the program.  FqMatrix(q, data,
+cols) checks the type, range and shape of data from outside: demand files,
+fixtures, library callers.  store.unpack_entries checks entries decoded
+from bytes.  Matrices the package builds from entries already checked or
+reduced mod q (products, transposes, selections, eliminations, decoy and
+Cauchy blocks, the server's answer) come from FqMatrix._reduced, which
+checks nothing; tests/test_reduced_sites.py lists the functions that may
+call it.
 """
 
 from __future__ import annotations
@@ -28,10 +37,13 @@ from .errors import (
 class FqMatrix:
     """Immutable dense matrix over GF(q); entries are ints in [0, q).
 
+    The constructor is for data from outside the program, and checks it.
     Entries must be of type int exactly: a float, a bool or a string is
     rejected with ValueError rather than converted.  The checks run over
     whole rows with builtins; entries are walked one by one only after a
-    check has failed, to name the offending entry.
+    check has failed, to name the offending entry.  Matrices built inside
+    the package from entries already reduced mod q skip the checks through
+    _reduced.
     """
 
     __slots__ = ("q", "rows", "cols", "data")
@@ -59,6 +71,17 @@ class FqMatrix:
         self.data = rows_t
 
     # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def _reduced(cls, q: int, rows: tuple[tuple[int, ...], ...], cols: int) -> "FqMatrix":
+        """A rows x cols matrix from a tuple of tuples of ints already in
+        [0, q), with cols entries each; nothing is checked or copied."""
+        m = object.__new__(cls)
+        m.q = q
+        m.rows = len(rows)
+        m.cols = cols
+        m.data = rows
+        return m
 
     @classmethod
     def zeros(cls, q: int, rows: int, cols: int) -> "FqMatrix":
@@ -104,20 +127,24 @@ class FqMatrix:
             raise ShapeError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
         q = self.q
         bt = other.transpose().data
-        out = [[sum(map(operator.mul, row, col)) % q for col in bt] for row in self.data]
-        return FqMatrix(q, out, cols=other.cols)
+        out = tuple(
+            tuple([sum(map(operator.mul, row, col)) % q for col in bt]) for row in self.data
+        )
+        return FqMatrix._reduced(q, out, other.cols)
 
     def transpose(self) -> "FqMatrix":
-        cols = zip(*self.data) if self.rows else [()] * self.cols
-        return FqMatrix(self.q, cols, cols=self.rows)
+        cols = tuple(zip(*self.data)) if self.rows else ((),) * self.cols
+        return FqMatrix._reduced(self.q, cols, self.rows)
 
     # -- selection -----------------------------------------------------------
 
     def take_rows(self, idx: Sequence[int]) -> "FqMatrix":
-        return FqMatrix(self.q, [self.data[i] for i in idx], cols=self.cols)
+        return FqMatrix._reduced(self.q, tuple([self.data[i] for i in idx]), self.cols)
 
     def take_cols(self, idx: Sequence[int]) -> "FqMatrix":
-        return FqMatrix(self.q, [[row[j] for j in idx] for row in self.data], cols=len(idx))
+        return FqMatrix._reduced(
+            self.q, tuple(tuple([row[j] for j in idx]) for row in self.data), len(idx)
+        )
 
 
 def hstack(mats: Sequence[FqMatrix]) -> FqMatrix:
@@ -184,9 +211,9 @@ def right_null_space(m: FqMatrix) -> FqMatrix:
             v[pc] = (-red[r][f]) % q
         basis.append(v)
     if not basis:
-        return FqMatrix(q, [], cols=m.cols)
+        return FqMatrix._reduced(q, (), m.cols)
     canon, cpiv = _rref(basis, q)
-    return FqMatrix(q, canon[: len(cpiv)], cols=m.cols)
+    return FqMatrix._reduced(q, tuple(map(tuple, canon[: len(cpiv)])), m.cols)
 
 
 def solve(a: FqMatrix, b: FqMatrix) -> FqMatrix:
@@ -208,7 +235,7 @@ def solve(a: FqMatrix, b: FqMatrix) -> FqMatrix:
         if pc >= n:
             raise InconsistentSystem("no solution: pivot in the constant block")
         x[pc] = list(red[r][n:])
-    return FqMatrix(a.q, x, cols=b.cols)
+    return FqMatrix._reduced(a.q, tuple(map(tuple, x)), b.cols)
 
 
 def _invertible(square: list[list[int]], q: int) -> bool:
@@ -277,10 +304,8 @@ def cauchy(q: int, x: Sequence[int], y: Sequence[int]) -> FqMatrix:
     ys = [v % q for v in y]
     if len(set(xs + ys)) != len(xs) + len(ys):
         raise DegenerateCauchy("cauchy parameters collide mod q")
-    return FqMatrix(
-        q,
-        [[pow((xi - yj) % q, q - 2, q) for yj in ys] for xi in xs],
-        cols=len(ys),
+    return FqMatrix._reduced(
+        q, tuple(tuple([pow((xi - yj) % q, q - 2, q) for yj in ys]) for xi in xs), len(ys)
     )
 
 
@@ -339,8 +364,11 @@ def random_grs_blocks(q: int, k: int, n: int, count: int, rng: random.Random) ->
     if count == 0:
         return []  # nothing to draw; skips the batch's fixed cost on small shapes
     points = [p for row in distinct_rows(rng, q, count, n) for p in row]
-    rows = _grs_rows(q, k, points, nonzero(rng, q, count * n))
-    return [FqMatrix(q, [row[c * n : (c + 1) * n] for row in rows], cols=n) for c in range(count)]
+    rows = tuple(map(tuple, _grs_rows(q, k, points, nonzero(rng, q, count * n))))
+    return [
+        FqMatrix._reduced(q, tuple(row[c * n : (c + 1) * n] for row in rows), n)
+        for c in range(count)
+    ]
 
 
 def grs_parameters(g: FqMatrix) -> tuple[tuple[int, ...], tuple[int, ...]]:

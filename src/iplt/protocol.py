@@ -262,7 +262,9 @@ def alignment_coefficients(
         raise BadShape(f"need |k_idx| + |l_idx| = t+1 with |l_idx| >= 1, got {r}+{s}")
     kset = set(k_idx)
     unchosen = [j for j in range(t) if j not in kset]
-    m1 = FqMatrix(q, [[omega.data[l - t][ku] for l in l_idx] for ku in unchosen], cols=s)
+    m1 = FqMatrix._reduced(
+        q, tuple(tuple([omega.data[l - t][ku] for l in l_idx]) for ku in unchosen), s
+    )
     ns = right_null_space(m1)
     if ns.rows != 1:
         raise AlignmentSingular(f"alignment nullity {ns.rows}, expected 1")
@@ -337,12 +339,12 @@ def _assemble_align_trailing(
         + [alpha[t + i] if j == i else 0 for j in range(m)]
         for i, row in enumerate(omega.data)
     ]
-    rows = [
-        [scale[p // S] * v % q for p, v in enumerate(src)]
+    rows = tuple(
+        tuple([scale[p // S] * v % q for p, v in enumerate(src)])
         for scale in table
         for src in c_matrix.data
-    ]
-    return FqMatrix(q, rows, cols=c_matrix.cols)
+    )
+    return FqMatrix._reduced(q, rows, c_matrix.cols)
 
 
 def demand_positions(
@@ -466,8 +468,10 @@ def embedding_transform(
     """
     where = {col: j for j, col in enumerate(h)}
     zero = (0,) * v.rows
-    ut = FqMatrix(
-        v.q, [v.column(where[p]) if p in where else zero for p in range(trailing.cols)], cols=v.rows
+    ut = FqMatrix._reduced(
+        v.q,
+        tuple([v.column(where[p]) if p in where else zero for p in range(trailing.cols)]),
+        v.rows,
     )
     try:
         t_mat = solve(trailing.transpose(), ut).transpose()
@@ -541,15 +545,15 @@ def answer(query: Query, x: FqMatrix) -> FqMatrix:
     q = x.q
     shifts, mask, packed = _packed_rows(x)
     permuted = list(map(packed.__getitem__, inverse_permutation(pi)))
-    rows: list[list[int]] = []
+    rows: list[tuple[int, ...]] = []
     col = 0
     for blk in blocks:
         segment = permuted[col : col + blk.cols]
         for r in blk.data:
             total = sum(map(operator.mul, r, segment))
-            rows.append([((total >> s) & mask) % q for s in shifts])
+            rows.append(tuple([((total >> s) & mask) % q for s in shifts]))
         col += blk.cols
-    return FqMatrix(q, rows, cols=x.cols)
+    return FqMatrix._reduced(q, tuple(rows), x.cols)
 
 
 def recover(

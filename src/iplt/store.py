@@ -3,7 +3,8 @@
 Layout: magic "PLTS" (4 bytes), version 0x01 (1 byte), q as 8-byte
 little-endian, K and N as 4-byte little-endian each, then K*N entries as
 8-byte little-endian values in row-major order.  Total size is exactly
-21 + K*N*8 bytes; the loader rejects any size mismatch.
+21 + K*N*8 bytes; the loader rejects any size mismatch, and K > 0
+messages of N = 0 entries.
 """
 
 from __future__ import annotations
@@ -87,18 +88,21 @@ def unpack_entries(
     """Read a rows x cols matrix of little-endian entries, width (1, 2, 4
     or 8) bytes each, starting at offset.
 
-    The first entry that is not below q raises error, naming the entry as
-    what and giving its byte offset in data.
+    This is where decoded entries are checked: rows > 0 with cols == 0
+    (rows read from no bytes at all) raises error, and so does the first
+    entry that is not below q, naming the entry as what and giving its
+    byte offset in data.
     """
+    if rows and not cols:
+        raise error(f"matrix of {rows} rows at byte offset {offset} has zero width")
     flat = struct.unpack_from(entry_format(rows * cols, width), data, offset)
-    try:
-        return FqMatrix(q, [flat[i * cols : (i + 1) * cols] for i in range(rows)], cols=cols)
-    except ValueError:
-        # Unpacked entries are nonnegative ints, so only an entry >= q fails.
+    # Unpacked entries are nonnegative ints, so only the upper bound can fail.
+    if flat and max(flat) >= q:
         idx = next(i for i, v in enumerate(flat) if v >= q)
         raise error(
             f"{what} {flat[idx]} at byte offset {offset + idx * width} is not below q={q}"
-        ) from None
+        )
+    return FqMatrix._reduced(q, tuple(flat[i * cols : (i + 1) * cols] for i in range(rows)), cols)
 
 
 def store_save(store: MessageStore, path) -> None:

@@ -10,7 +10,8 @@ payload: q, K, n, L, D, trailing rows and trailing cols (4 LE each), the
 n decoy L x D blocks and then the trailing block, row-major at
 entry_width(q) bytes per entry, and the permutation as K values of
 entry_width(K) bytes.  Answer payload: rows (4 LE) + N (4 LE) + entries
-at entry_width(q) bytes each; the client knows q, so no width is sent.
+at entry_width(q) bytes each; the client knows q, so no width is sent,
+and rows > 0 with N = 0 is refused.
 Earlier payloads (the dense v1 query, kind 0x01; the 4-byte block query,
 kind 0x03; the 8-byte answer, kind 0x02) are refused as malformed.
 

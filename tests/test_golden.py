@@ -14,6 +14,7 @@ encode_answer and encode_query payloads, whose entries are sized to q and K.
 
 import hashlib
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,7 @@ import pytest
 from iplt.audit import audit_individual_privacy
 from iplt.cli import main
 from iplt.fixtures import example_fixture
+from iplt.matrix import FqMatrix
 from iplt.protocol import (
     Demand,
     Query,
@@ -34,6 +36,7 @@ from iplt.store import MessageStore, entry_width
 from iplt.wire import decode_query, encode_answer, encode_query, fetch, serve
 
 from oracles import v1_query_payload, v2_answer_payload, v3_query_payload
+from test_reduced_sites import ALLOWED
 
 SEEDS = range(20)
 
@@ -177,3 +180,41 @@ def test_protocol_path_never_builds_dense_g(monkeypatch):
                 assert recover(ans, secret, params, demand) == demand.value(store.X)
                 report = audit_individual_privacy(query, params, demand)
                 assert report.ok and report.true_support_found
+
+
+def test_unchecked_matrices_pass_the_public_checks(monkeypatch):
+    """Every matrix built through FqMatrix._reduced, which checks nothing,
+    also passes the public constructor's checks as a tuple of tuples: on
+    the golden shapes and seeds, examples 1-3, iplt demo and a loopback
+    fetch.  Those paths reach every allowlisted site."""
+    reduced = FqMatrix._reduced.__func__
+    sites = set()
+
+    def checked(cls, q, rows, cols):
+        frame = sys._getframe(1)
+        while frame.f_code.co_name.startswith("<"):  # a comprehension's own frame
+            frame = frame.f_back
+        sites.add(frame.f_code.co_name)
+        m = reduced(cls, q, rows, cols)
+        assert m == FqMatrix(q, rows, cols=cols), f"{frame.f_code.co_name} passed lists"
+        return m
+
+    monkeypatch.setattr(FqMatrix, "_reduced", classmethod(checked))
+    for shape in sorted(GOLDEN):
+        assert _digests(shape)[0] == GOLDEN[shape]
+    for which in ("1", "2", "3"):
+        assert main(["example", which]) == 0
+    for which in ("9", "7"):
+        assert main(["demo", "--K", "24", "--D", which, "--L", "2", "--q", "17"]) == 0
+    for shape in ((24, 7, 2, 17, 2), (430, 50, 5, 65521, 4)):
+        params = derive_params(*shape)
+        store = MessageStore.random(params.q, params.K, params.N, random.Random(0))
+        with serve(store, "127.0.0.1:0") as srv:
+            srv.start_background()
+            for seed in range(6):
+                rng = random.Random(seed)
+                demand = Demand.random(params, rng)
+                query, secret = build_query(demand, params, rng)
+                ans = fetch(srv.endpoint, query)
+                assert recover(ans, secret, params, demand) == demand.value(store.X)
+    assert sites == {name.rsplit(".", 1)[-1] for names in ALLOWED.values() for name in names}

@@ -115,6 +115,10 @@ def test_store_load_rejections(tmp_path):
         store_load(bad)
     assert "37" in str(exc.value)
 
+    bad.write_bytes(raw[:13] + struct.pack("<II", 3, 0))  # 3 messages of 0 symbols
+    with pytest.raises(EntryOutOfRange, match="zero width"):
+        store_load(bad)
+
     with pytest.raises(FileNotFoundError):
         store_load(tmp_path / "missing.plts")
 
@@ -188,13 +192,14 @@ def test_decode_query_rejections():
         decode_query(bytes(untiled))
     assert "do not tile K=24" in str(exc.value)
 
-    oor = bytearray(payload)
-    oor[28] = Q
-    with pytest.raises(MalformedPayload) as exc:
-        decode_query(bytes(oor))
-    assert "offset 28" in str(exc.value)
-
     pi_off = 28 + 3 * 2 * 8  # 1-byte entries at q = 17
+    for off in (28, pi_off - 1):  # the first decoy entry, the last trailing entry
+        oor = bytearray(payload)
+        oor[off] = Q
+        with pytest.raises(MalformedPayload) as exc:
+            decode_query(bytes(oor))
+        assert str(exc.value) == f"generator entry {Q} at byte offset {off} is not below q={Q}"
+
     big_pi = bytearray(payload)
     big_pi[pi_off] = 24
     with pytest.raises(MalformedPayload):
@@ -216,17 +221,22 @@ def test_answer_payload_roundtrip():
 
 
 def test_decode_answer_rejections():
-    """Short, mis-sized, and out-of-range answers are rejected."""
+    """Short, mis-sized, zero-width and out-of-range answers are rejected."""
     payload = encode_answer(FqMatrix(Q, [[1, 2], [3, 4]]))
     with pytest.raises(MalformedPayload):
         decode_answer(payload[:4], Q)
     with pytest.raises(MalformedPayload):
         decode_answer(payload + b"\0", Q)
-    oor = bytearray(payload)
-    oor[8] = Q
-    with pytest.raises(MalformedPayload) as exc:
-        decode_answer(bytes(oor), Q)
-    assert "offset 8" in str(exc.value)
+    for off in (8, 11):  # the first and the last answer entry
+        oor = bytearray(payload)
+        oor[off] = Q
+        with pytest.raises(MalformedPayload) as exc:
+            decode_answer(bytes(oor), Q)
+        assert str(exc.value) == f"answer entry {Q} at byte offset {off} is not below q={Q}"
+    # Rows of zero width take no bytes, so a bigger row count would cost
+    # memory and time out of an 8-byte payload.
+    with pytest.raises(MalformedPayload, match="zero width"):
+        decode_answer(struct.pack("<II", 3, 0), Q)
 
 
 def test_debug_json_renderings():
