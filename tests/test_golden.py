@@ -194,9 +194,10 @@ def test_unchecked_matrices_pass_the_public_checks(monkeypatch):
         frame = sys._getframe(1)
         while frame.f_code.co_name.startswith("<"):  # a comprehension's own frame
             frame = frame.f_back
-        sites.add(frame.f_code.co_name)
+        site = frame.f_code.co_name
+        sites.add(site)
         m = reduced(cls, q, rows, cols)
-        assert m == FqMatrix(q, rows, cols=cols), f"{frame.f_code.co_name} passed lists"
+        assert m == FqMatrix(q, rows, cols=cols), f"{site} passed rows that are not tuples"
         return m
 
     monkeypatch.setattr(FqMatrix, "_reduced", classmethod(checked))
