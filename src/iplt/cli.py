@@ -377,6 +377,13 @@ def cmd_serve(args: argparse.Namespace) -> int:
         pass
     finally:
         srv.server_close()
+        stats = srv.stats()
+        errors = ", ".join(f"{name} {n}" for name, n in sorted(stats["errors"].items()))
+        print(
+            f"served {stats['connections']} connections, {stats['requests']} requests;"
+            f" errors: {errors or 'none'}",
+            file=sys.stderr,
+        )
     return 0
 
 

@@ -328,11 +328,13 @@ def grs_generator(
         raise BadGrsParameters(f"need n <= q for distinct points, got n={n} q={q}")
     pts = [p % q for p in points]
     mults = [m % q for m in multipliers]
+    if set(map(type, pts + mults)) - {int}:
+        raise BadGrsParameters("points and multipliers must be ints")
     if len(pts) != n or len(set(pts)) != n:
         raise BadGrsParameters("points must be n distinct field elements")
     if len(mults) != n or 0 in mults:
         raise BadGrsParameters("multipliers must be n nonzero field elements")
-    return FqMatrix(q, _grs_rows(q, k, pts, mults), cols=n)
+    return FqMatrix._reduced(q, tuple(map(tuple, _grs_rows(q, k, pts, mults))), n)
 
 
 def _grs_rows(q: int, k: int, pts: list[int], mults: list[int]) -> list[list[int]]:

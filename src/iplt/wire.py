@@ -15,21 +15,30 @@ and rows > 0 with N = 0 is refused.
 Earlier payloads (the dense v1 query, kind 0x01; the 4-byte block query,
 kind 0x03; the 8-byte answer, kind 0x02) are refused as malformed.
 
-The server side only ever touches the query and the stored matrix; one
-request per connection, handled concurrently over a read-only store.  A
-connection that has not delivered its whole query frame _IDLE_TIMEOUT_S
-seconds after it was accepted is closed, however it paces its bytes.  The
-server reads the length, the kind and the 28-byte query header first, and
-refuses a wrong kind, a query whose q or K differs from the store's, or a
-size that does not fit the header before it reads the rest of the frame.
+The server side only ever touches the query and the stored matrix, and
+serves a read-only store with one thread per connection.  That thread
+answers the connection's frames one after another until the client closes
+it, an error frame is sent, or a frame misses its deadline: all of the
+frame must arrive within _IDLE_TIMEOUT_S seconds of when the thread starts
+waiting for it, however the client paces its bytes.  The server reads the
+length, the kind and the 28-byte query header first, and refuses a wrong
+kind, a query whose q or K differs from the store's, or a size that does
+not fit the header before it reads the rest of the frame.
+
+fetch keeps one idle connection per endpoint and sends the next query
+over it.  If the server closed that connection before any reply byte, the
+same encoded bytes are sent once more on a new connection; a new query is
+never built for the retry.  A forked child starts with no kept connection.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import socket
 import socketserver
 import struct
+import sys
 import threading
 import time
 
@@ -228,17 +237,40 @@ def parse_endpoint(endpoint: str) -> tuple[str, int]:
 
 
 class _AnswerHandler(socketserver.BaseRequestHandler):
-    def handle(self):
+    """Answers one connection's query frames, one after another."""
+
+    def handle(self) -> None:
+        if not self.server._enter(self.request):
+            return  # server_close has begun
         try:
-            y = self._read_and_answer(time.monotonic() + _IDLE_TIMEOUT_S)
-        except TimeoutError:
-            return  # the frame did not arrive in time; the server closes the connection
-        except IpltError as exc:
-            self._reply_error(exc)
-            return
-        # The reads left the socket timeout at what remained of the deadline.
-        self.request.settimeout(_IDLE_TIMEOUT_S)
-        send_frame(self.request, KIND_ANSWER, encode_answer(y))
+            self._answer_frames()
+        finally:
+            self.server._leave(self.request)
+
+    def _answer_frames(self) -> None:
+        """Answer frames until EOF, an error frame, or a missed deadline."""
+        conn = self.request
+        while True:
+            deadline = time.monotonic() + _IDLE_TIMEOUT_S
+            conn.settimeout(_IDLE_TIMEOUT_S)
+            try:
+                if not conn.recv(1, socket.MSG_PEEK):
+                    return  # the client closed the connection between frames
+            except OSError:
+                return  # idle past the deadline, or reset between frames
+            try:
+                y = self._read_and_answer(deadline)
+                # The reads left the socket timeout at what remained of the deadline.
+                conn.settimeout(_IDLE_TIMEOUT_S)
+                send_frame(conn, KIND_ANSWER, encode_answer(y))
+            except IpltError as exc:
+                self.server._count_error(exc)
+                self._reply_error(exc)
+                return
+            except OSError as exc:  # the frame missed its deadline, or the client reset
+                self.server._count_error(exc)
+                return
+            self.server._count_request()
 
     def _read_and_answer(self, deadline: float) -> FqMatrix:
         """Read one query frame, all of it by the deadline, and answer it.
@@ -273,19 +305,36 @@ class _AnswerHandler(socketserver.BaseRequestHandler):
 
 
 class AnswerServer(socketserver.ThreadingTCPServer):
-    """One-request-per-connection TCP server over a read-only store."""
+    """TCP server over a read-only store: one thread per connection, which
+    answers the connection's query frames one after another."""
 
     allow_reuse_address = True
     daemon_threads = True
 
     def __init__(self, store: MessageStore, endpoint: str):
         self.store = store
+        self._lock = threading.Lock()  # guards the live connections and the counters
+        self._live: dict[socket.socket, threading.Thread] = {}
+        self._closing = False
+        self._connections = 0
+        self._requests = 0
+        self._errors: dict[str, int] = {}
         super().__init__(parse_endpoint(endpoint), _AnswerHandler)
 
     @property
     def endpoint(self) -> str:
         host, port = self.server_address[:2]
         return f"{host}:{port}"
+
+    def stats(self) -> dict:
+        """Connections accepted, requests answered, and errors by exception
+        name; nothing from a query's contents is recorded."""
+        with self._lock:
+            return {
+                "connections": self._connections,
+                "requests": self._requests,
+                "errors": dict(self._errors),
+            }
 
     def start_background(self) -> threading.Thread:
         """Serve on a daemon thread, polling every _BACKGROUND_POLL_S s so
@@ -296,6 +345,28 @@ class AnswerServer(socketserver.ThreadingTCPServer):
         thread.start()
         return thread
 
+    def server_close(self) -> None:
+        """Close the listening socket, shut down every live connection, and
+        return once the threads answering them have stopped."""
+        super().server_close()
+        with self._lock:
+            self._closing = True
+            live = list(self._live.items())
+        for conn, _ in live:
+            try:
+                # Wakes the thread waiting on it for the next frame.
+                conn.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
+        for _, thread in live:
+            if thread is not threading.current_thread():
+                thread.join()
+
+    def handle_error(self, request, client_address) -> None:
+        """Count a fault in this program, then print its traceback."""
+        self._count_error(sys.exc_info()[1])
+        super().handle_error(request, client_address)
+
     def __enter__(self) -> "AnswerServer":
         return self
 
@@ -303,10 +374,52 @@ class AnswerServer(socketserver.ThreadingTCPServer):
         self.shutdown()
         self.server_close()
 
+    def _enter(self, conn: socket.socket) -> bool:
+        with self._lock:
+            if self._closing:
+                return False
+            self._live[conn] = threading.current_thread()
+            self._connections += 1
+            return True
+
+    def _leave(self, conn: socket.socket) -> None:
+        with self._lock:
+            self._live.pop(conn, None)
+
+    def _count_request(self) -> None:
+        with self._lock:
+            self._requests += 1
+
+    def _count_error(self, exc: BaseException) -> None:
+        name = type(exc).__name__
+        with self._lock:
+            self._errors[name] = self._errors.get(name, 0) + 1
+
 
 def serve(store: MessageStore, endpoint: str) -> AnswerServer:
     """Bind an answer server to the endpoint; the caller starts it."""
     return AnswerServer(store, endpoint)
+
+
+# -- client -----------------------------------------------------------------
+
+# At most one idle connection per (host, port), kept for the next fetch.
+_kept: dict[tuple[str, int], socket.socket] = {}
+_kept_lock = threading.Lock()
+
+
+def _forget_kept() -> None:
+    """In a forked child, drop the kept connections it shares with its
+    parent, so that only the parent sends on them.  Closing the child's
+    copy leaves the parent's connection open."""
+    global _kept_lock
+    _kept_lock = threading.Lock()  # another thread may have held it at the fork
+    for sock in _kept.values():
+        sock.close()
+    _kept.clear()
+
+
+os.register_at_fork(after_in_child=_forget_kept)
 
 
 def _error_by_name(name: str):
@@ -316,23 +429,76 @@ def _error_by_name(name: str):
     return None
 
 
+def _send_query(sock: socket.socket, payload: bytes) -> None:
+    try:
+        send_frame(sock, KIND_QUERY, payload)
+    except (BrokenPipeError, ConnectionResetError):
+        # The server may refuse a query from its header and close
+        # before the body is sent; its error frame is still readable.
+        pass
+
+
+def _dropped(sock: socket.socket) -> bool:
+    """Wait for the reply's first byte; True if the server closed or reset
+    the connection before sending it."""
+    try:
+        return not sock.recv(1, socket.MSG_PEEK)
+    except ConnectionError:
+        return True
+
+
+def _round_trip(
+    addr: tuple[str, int], payload: bytes, timeout: float
+) -> tuple[socket.socket, int, bytes]:
+    """Send the query frame and read one reply frame, over the endpoint's
+    kept connection if there is one.  Returns the connection, which the
+    caller then owns, with the reply's kind and payload."""
+    with _kept_lock:
+        sock = _kept.pop(addr, None)
+    kept = sock is not None
+    if not kept:
+        sock = socket.create_connection(addr, timeout=timeout)
+    try:
+        sock.settimeout(timeout)
+        _send_query(sock, payload)
+        if kept and _dropped(sock):
+            # The server closed the kept connection before it replied (its
+            # idle timeout, a restart).  Resend the same bytes, once, on a
+            # new connection: a new query would give the server a second
+            # view of the same demand.
+            sock.close()
+            sock = socket.create_connection(addr, timeout=timeout)
+            _send_query(sock, payload)
+        return (sock, *recv_frame(sock))
+    except BaseException:
+        sock.close()
+        raise
+
+
 def fetch(endpoint: str, query: Query, timeout: float = 30.0) -> FqMatrix:
     """Send one query to a server and return its decoded answer matrix Y.
 
-    An error frame is re-raised as the matching package exception when the
-    server named one (e.g. ShapeError), otherwise as RemoteError.
+    The connection is kept for the endpoint's next fetch after an answer,
+    and closed after anything else; a kept connection that the server
+    closed before replying is replaced once, by a new connection carrying
+    the same bytes.  An error frame is re-raised as the matching package
+    exception when the server named one (e.g. ShapeError), otherwise as
+    RemoteError.
     """
-    host, port = parse_endpoint(endpoint)
-    with socket.create_connection((host, port), timeout=timeout) as sock:
-        try:
-            send_frame(sock, KIND_QUERY, encode_query(query))
-        except (BrokenPipeError, ConnectionResetError):
-            # The server may refuse a query from its header and close
-            # before the body is sent; its error frame is still readable.
-            pass
-        kind, payload = recv_frame(sock)
+    addr = parse_endpoint(endpoint)
+    sock, kind, payload = _round_trip(addr, encode_query(query), timeout)
     if kind == KIND_ANSWER:
-        return decode_answer(payload, query.q)
+        try:
+            y = decode_answer(payload, query.q)
+        except BaseException:
+            sock.close()
+            raise
+        with _kept_lock:
+            kept = _kept.setdefault(addr, sock)
+        if kept is not sock:
+            sock.close()  # another fetch kept its connection first
+        return y
+    sock.close()
     if kind == KIND_ERROR:
         text = payload.decode("utf-8", errors="replace")
         name, sep, message = text.partition(": ")

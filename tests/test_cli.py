@@ -5,6 +5,7 @@ import json
 import os
 import random
 import re
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -14,7 +15,7 @@ import pytest
 import iplt
 from iplt.cli import _build_parser, main
 from iplt.matrix import FqMatrix
-from iplt.protocol import Demand
+from iplt.protocol import Demand, answer, build_query, derive_params, recover
 from iplt.store import MessageStore, store_save
 from iplt.wire import fetch, serve
 
@@ -660,9 +661,9 @@ def test_fetch_rejects_bad_endpoint(capsys, tmp_path, addr):
     assert err == BAD_ENDPOINT.format(addr)
 
 
-def test_serve_subprocess_answers_fetch(small_store, tmp_path):
-    """The serve subcommand binds, reports its endpoint, and answers queries."""
-    store, spath = small_store
+def _serve_subprocess(spath):
+    """An `iplt serve` child of the small store on an ephemeral port, with
+    its endpoint, once it has printed its two stdout lines."""
     # The child imports the same iplt as this process, installed or not.
     path = [str(Path(iplt.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
     proc = subprocess.Popen(
@@ -673,21 +674,26 @@ def test_serve_subprocess_answers_fetch(small_store, tmp_path):
         text=True,
         env=dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p)),
     )
+    banner = proc.stdout.readline().strip()
+    assert banner.startswith("listening on ")
+    assert proc.stdout.readline() == "store: 10 messages of 1 symbols over GF(17)\n"
+    return proc, banner.removeprefix("listening on ")
+
+
+def _query_for_small_store():
+    demand = Demand([0, 2, 4, 7], FqMatrix(17, [[1, 1, 1, 1], [1, 2, 3, 4]]))
+    params = derive_params(10, 4, 2, 17)
+    return demand, params, *build_query(demand, params, random.Random(4))
+
+
+def test_serve_subprocess_answers_fetch(small_store, tmp_path):
+    """The serve subcommand binds, reports its endpoint, and answers queries."""
+    store, spath = small_store
+    proc, endpoint = _serve_subprocess(spath)
     try:
-        banner = proc.stdout.readline().strip()
-        assert banner.startswith("listening on ")
-        endpoint = banner.removeprefix("listening on ")
-        info = proc.stdout.readline().strip()
-        assert info == "store: 10 messages of 1 symbols over GF(17)"
-
-        demand = Demand([0, 2, 4, 7], FqMatrix(17, [[1, 1, 1, 1], [1, 2, 3, 4]]))
-        from iplt.protocol import answer as local_answer
-        from iplt.protocol import build_query, derive_params, recover
-
-        params = derive_params(10, 4, 2, 17)
-        query, secret = build_query(demand, params, random.Random(4))
+        demand, params, query, secret = _query_for_small_store()
         remote = fetch(endpoint, query)
-        assert remote == local_answer(query, store.X)
+        assert remote == answer(query, store.X)
         rec = recover(remote, secret, params, demand)
         want = [
             [sum(c * store.X.data[i][0] for c, i in zip(row, demand.W)) % 17]
@@ -696,7 +702,27 @@ def test_serve_subprocess_answers_fetch(small_store, tmp_path):
         assert [list(r) for r in rec.data] == want
     finally:
         proc.terminate()
-        proc.wait(timeout=10)
+        proc.communicate(timeout=10)
+
+
+def test_serve_stops_on_sigint_with_a_kept_connection(small_store):
+    """iplt serve exits within 2 s of SIGINT while this client holds an idle
+    kept connection to it, and prints its counters as one stderr line,
+    leaving stdout as it was."""
+    store, spath = small_store
+    proc, endpoint = _serve_subprocess(spath)
+    try:
+        query = _query_for_small_store()[2]
+        for _ in range(3):
+            fetch(endpoint, query)
+        proc.send_signal(signal.SIGINT)
+        out, err = proc.communicate(timeout=2)
+    finally:
+        proc.kill()
+        proc.communicate(timeout=10)
+    assert proc.returncode == 0
+    assert out == ""
+    assert err == "served 1 connections, 3 requests; errors: none\n"
 
 
 # -- top level ------------------------------------------------------------

@@ -314,9 +314,15 @@ def test_grs_generator_edge_cases():
 
 
 def test_grs_generator_rejections():
-    """Bad sizes, repeated points, or zero multipliers raise."""
+    """Bad sizes, repeated points, zero multipliers, or entries that are
+    not ints raise."""
     with pytest.raises(BadGrsParameters):
         grs_generator(Q, 4, 3, (1, 2, 3), (1, 1, 1))
+    for k in (0, 1, 2):
+        with pytest.raises(BadGrsParameters, match="must be ints"):
+            grs_generator(Q, k, 3, (1, 2.0, 3), (1, 1, 1))
+    with pytest.raises(BadGrsParameters, match="must be ints"):
+        grs_generator(Q, 2, 3, (1, 2, 3), (1, 1.5, 1))
     with pytest.raises(BadGrsParameters):
         grs_generator(Q, 2, 18, range(18), [1] * 18)
     with pytest.raises(BadGrsParameters):

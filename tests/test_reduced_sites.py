@@ -24,6 +24,7 @@ ALLOWED = {
         "right_null_space",
         "solve",
         "cauchy",
+        "grs_generator",
         "random_grs_blocks",
     },
     "protocol.py": {

@@ -1,10 +1,12 @@
 """Binary store format, wire framing, and the TCP answer service."""
 
 import dataclasses
+import os
 import random
 import select
 import socket
 import struct
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -43,7 +45,7 @@ from iplt import (
     to_debug_json,
 )
 from iplt.store import entry_width
-from iplt.wire import KIND_ERROR, KIND_QUERY, MAX_FRAME, recv_frame
+from iplt.wire import KIND_ANSWER, KIND_ERROR, KIND_QUERY, MAX_FRAME, recv_frame
 
 from oracles import v1_query_payload, v2_answer_payload, v3_query_payload
 
@@ -509,16 +511,212 @@ def test_block_payload_round_trips_at_k20000():
 
 
 def test_concurrent_fetches():
-    """Eight parallel fetches all come back exact."""
+    """Eight client threads making eight fetches each, with a short switch
+    interval, all get exact answers, and the server counts every request."""
     fx = example_fixture(2)
     store = MessageStore.random(Q, 24, 2, random.Random(9))
     expected = answer(fx.query, store.X)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with _loopback(store) as srv:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [
+                    pool.submit(lambda: [iplt.fetch(srv.endpoint, fx.query) for _ in range(8)])
+                    for _ in range(8)
+                ]
+                results = [y for f in futures for y in f.result(timeout=30)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [expected] * 64
+    stats = srv.stats()
+    assert (stats["requests"], stats["errors"]) == (64, {})
+    assert 1 <= stats["connections"] <= 64
+
+
+# -- kept connections -----------------------------------------------------------
+
+
+@pytest.fixture()
+def connects(monkeypatch):
+    """Count the connections fetch opens: a list of the addresses dialled."""
+    dialled = []
+    create = socket.create_connection
+
+    def counting(address, *args, **kwargs):
+        dialled.append(address)
+        return create(address, *args, **kwargs)
+
+    monkeypatch.setattr(socket, "create_connection", counting)
+    return dialled
+
+
+def test_sequential_fetches_reuse_one_connection(connects):
+    """Twenty fetches in a row travel over one connection, and each answer
+    equals the in-process one."""
+    fx = example_fixture(1)
+    store = MessageStore.random(Q, 24, 2, random.Random(3))
+    expected = answer(fx.query, store.X)
     with _loopback(store) as srv:
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            results = list(
-                pool.map(lambda _: iplt.fetch(srv.endpoint, fx.query), range(8))
-            )
-    assert all(r == expected for r in results)
+        for _ in range(20):
+            assert iplt.fetch(srv.endpoint, fx.query) == expected
+    assert len(connects) == 1
+    assert srv.stats() == {"connections": 1, "requests": 20, "errors": {}}
+
+
+def test_fetch_resends_the_same_bytes_after_an_idle_close(monkeypatch, connects):
+    """A kept connection the server closed after its idle timeout is
+    replaced by exactly one new connection, which carries the same encoded
+    query; the query is encoded once."""
+    monkeypatch.setattr(iplt.wire, "_IDLE_TIMEOUT_S", 0.2)
+    encoded, sent = [], []
+    encode, send = iplt.wire.encode_query, iplt.wire.send_frame
+    monkeypatch.setattr(iplt.wire, "encode_query", lambda q: encoded.append(encode(q)) or encoded[-1])
+
+    def send_spy(sock, kind, body):
+        if kind == KIND_QUERY:
+            sent.append(body)
+        send(sock, kind, body)
+
+    monkeypatch.setattr(iplt.wire, "send_frame", send_spy)
+    fx = example_fixture(2)
+    store = MessageStore.random(Q, 24, 2, random.Random(5))
+    with _loopback(store) as srv:
+        iplt.fetch(srv.endpoint, fx.query)
+        time.sleep(0.4)
+        del encoded[:], sent[:]
+        assert iplt.fetch(srv.endpoint, fx.query) == answer(fx.query, store.X)
+    assert len(connects) == 2
+    assert len(encoded) == 1 and sent == encoded * 2
+    assert srv.stats() == {"connections": 2, "requests": 2, "errors": {}}
+
+
+def test_a_new_connection_is_not_retried(connects):
+    """A server that reads the query on a new connection and closes it
+    without replying makes fetch raise, with no second connection."""
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+
+        def stub():
+            conn, _ = listener.accept()
+            with conn:
+                recv_frame(conn)
+
+        thread = threading.Thread(target=stub, daemon=True)
+        thread.start()
+        host, port = listener.getsockname()[:2]
+        with pytest.raises(MalformedPayload, match="connection closed after 0 of 4 bytes"):
+            iplt.fetch(f"{host}:{port}", example_fixture(1).query, timeout=5)
+        thread.join(timeout=5)
+    assert not thread.is_alive()
+    assert len(connects) == 1
+
+
+def test_an_error_frame_closes_the_connection(connects):
+    """The connection that carried an error frame is not kept: the next
+    fetch opens a new one."""
+    fx = example_fixture(1)
+    params = derive_params(10, 4, 2, Q)
+    rng = random.Random(1)
+    other = build_query(Demand.random(params, rng), params, rng)[0]
+    store = MessageStore.random(Q, 24, 1, random.Random(0))
+    with _loopback(store) as srv:
+        iplt.fetch(srv.endpoint, fx.query)
+        with pytest.raises(ShapeError, match="^store has 24 messages, query expects 10$"):
+            iplt.fetch(srv.endpoint, other)
+        assert len(connects) == 1
+        assert parse_endpoint(srv.endpoint) not in iplt.wire._kept
+        assert iplt.fetch(srv.endpoint, fx.query) == answer(fx.query, store.X)
+    assert len(connects) == 2
+    assert srv.stats() == {"connections": 2, "requests": 2, "errors": {"ShapeError": 1}}
+
+
+def test_clients_that_keep_fetching_do_not_block_another(monkeypatch):
+    """Eight clients that each send a frame every 0.1 s over their own
+    connection, with a 0.2 s idle timeout, do not hold up a ninth client's
+    fetch."""
+    monkeypatch.setattr(iplt.wire, "_IDLE_TIMEOUT_S", 0.2)
+    fx = example_fixture(1)
+    store = MessageStore.random(Q, 24, 1, random.Random(0))
+    expected = answer(fx.query, store.X)
+    body = encode_query(fx.query)
+    stop = threading.Event()
+    replies = [[] for _ in range(8)]
+
+    def keep_fetching(addr, got):
+        with socket.create_connection(addr, timeout=5) as sock:
+            while not stop.is_set():
+                send_frame(sock, KIND_QUERY, body)
+                got.append(recv_frame(sock))
+                time.sleep(0.1)
+
+    with _loopback(store) as srv:
+        addr = parse_endpoint(srv.endpoint)
+        with ThreadPoolExecutor(max_workers=len(replies)) as pool:
+            busy = [pool.submit(keep_fetching, addr, got) for got in replies]
+            try:
+                time.sleep(0.3)  # past one idle timeout
+                got = iplt.fetch(srv.endpoint, fx.query, timeout=2)
+                assert not any(f.done() for f in busy)
+            finally:
+                stop.set()
+            for f in busy:
+                f.result(timeout=5)
+    assert got == expected
+    for frames in replies:
+        assert len(frames) >= 3
+        assert set(frames) == {(KIND_ANSWER, encode_answer(expected))}
+    assert srv.stats()["connections"] == 9
+
+
+def test_no_handler_outlives_server_close():
+    """server_close stops every thread the server started, those waiting on
+    a kept connection and on a silent one among them, without waiting out
+    the idle timeout."""
+    fx = example_fixture(1)
+    store = MessageStore.random(Q, 24, 1, random.Random(0))
+    before = set(threading.enumerate())
+    srv = serve(store, "127.0.0.1:0")
+    srv.start_background()
+    iplt.fetch(srv.endpoint, fx.query)
+    with socket.create_connection(parse_endpoint(srv.endpoint), timeout=5) as silent:
+        until = time.monotonic() + 5
+        while srv.stats()["connections"] < 2 and time.monotonic() < until:
+            time.sleep(0.01)
+        started = set(threading.enumerate()) - before
+        assert len(started) == 3  # serve_forever and one thread per connection
+        start = time.monotonic()
+        srv.shutdown()
+        srv.server_close()
+        assert time.monotonic() - start < 1  # not the 30 s idle timeout
+        for thread in started:
+            thread.join(timeout=1)
+        assert not any(thread.is_alive() for thread in started)
+        assert silent.recv(1) == b""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_opens_its_own_connection(connects):
+    """After a fork the child starts with no kept connection and opens its
+    own, while the parent goes on over the one it kept, so the two
+    processes never send on one connection."""
+    fx = example_fixture(1)
+    store = MessageStore.random(Q, 24, 2, random.Random(3))
+    expected = answer(fx.query, store.X)
+    with _loopback(store) as srv:
+        iplt.fetch(srv.endpoint, fx.query)
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                if not iplt.wire._kept and iplt.fetch(srv.endpoint, fx.query) == expected:
+                    code = 0
+            finally:
+                os._exit(code)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+        assert iplt.fetch(srv.endpoint, fx.query) == expected
+    assert len(connects) == 1  # the parent's; the child's is counted in the child
+    assert srv.stats() == {"connections": 2, "requests": 3, "errors": {}}
 
 
 def test_wire_and_store_never_touch_client_secrets():
