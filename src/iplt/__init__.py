@@ -6,8 +6,13 @@ given index is demanded stays exactly D/K.  The package provides the exact
 prime-field linear algebra, the query builder and recovery routines, the
 privacy and feasibility audits, capacity bounds, a binary store format, and
 a TCP query/answer protocol.
+
+The package namespace holds the names of README's library example and the
+error classes; everything else is imported from its module (iplt.wire,
+iplt.matrix, ...).
 """
 
+from .audit import audit_individual_privacy
 from .errors import (
     AlignmentSingular,
     BadEndpoint,
@@ -32,74 +37,5 @@ from .errors import (
     TruncatedFile,
     VersionUnsupported,
 )
-from .field import check_field, is_prime
-from .matrix import (
-    FqMatrix,
-    cauchy,
-    grs_extend,
-    grs_generator,
-    grs_parameters,
-    hstack,
-    is_mds,
-    random_grs,
-    rank,
-    right_null_space,
-    solve,
-)
-from .protocol import (
-    ALIGN_S,
-    PARITY_EMBED,
-    ClientSecret,
-    Demand,
-    ProtocolParams,
-    Query,
-    achieved_rate,
-    alignment_coefficients,
-    answer,
-    build_query,
-    demand_positions,
-    derive_params,
-    recover,
-    select_block,
-    shuffle_demand,
-    solve_alignment,
-)
-from .bounds import (
-    RateBounds,
-    SweepRow,
-    SweepSkip,
-    capacity_exact,
-    capacity_lower,
-    capacity_upper,
-    decimal6,
-    ilp_bruteforce,
-    jplt_rate,
-    rate_bounds,
-    render_csv,
-    sweep,
-)
-from .audit import (
-    FeasibilityReport,
-    PrivacyReport,
-    SupportCandidate,
-    audit_individual_privacy,
-    candidate_supports,
-    feasibility_sweep,
-)
-from .store import MessageStore, store_load, store_save
-from .wire import (
-    AnswerServer,
-    decode_answer,
-    decode_query,
-    encode_answer,
-    encode_query,
-    fetch,
-    parse_endpoint,
-    recv_frame,
-    send_frame,
-    serve,
-    to_debug_json,
-)
-from .fixtures import ExampleFixture, example_fixture
-
-__version__ = "0.1.0"
+from .protocol import Demand, answer, build_query, derive_params, recover
+from .store import MessageStore

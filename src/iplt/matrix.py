@@ -94,9 +94,6 @@ class FqMatrix:
 
     # -- access --------------------------------------------------------------
 
-    def __getitem__(self, i: int) -> tuple[int, ...]:
-        return self.data[i]
-
     def to_rows(self) -> list[list[int]]:
         """Mutable copy of the entries."""
         return [list(row) for row in self.data]

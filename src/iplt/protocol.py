@@ -197,7 +197,9 @@ class Query:
 
     @property
     def G(self) -> FqMatrix:
-        """The dense generator, assembled from the blocks on every access."""
+        """The dense generator, assembled from the blocks on every access.
+
+        Only bench/run.py's traced replay reads it (query.G.q); no package code does."""
         blocks = (*self.blocks, self.trailing)
         width = sum(blk.cols for blk in blocks)
         g_rows = [[0] * width for _ in range(sum(blk.rows for blk in blocks))]

@@ -25,10 +25,11 @@ length, the kind and the 28-byte query header first, and refuses a wrong
 kind, a query whose q or K differs from the store's, or a size that does
 not fit the header before it reads the rest of the frame.
 
-fetch keeps one idle connection per endpoint and sends the next query
-over it.  If the server closed that connection before any reply byte, the
-same encoded bytes are sent once more on a new connection; a new query is
-never built for the retry.  A forked child starts with no kept connection.
+fetch keeps one idle connection per endpoint, for the _MAX_KEPT endpoints
+it used last, and sends the next query over it.  If the server closed that
+connection before any reply byte, the same encoded bytes are sent once
+more on a new connection; a new query is never built for the retry.  A
+forked child starts with no kept connection.
 """
 
 from __future__ import annotations
@@ -163,14 +164,15 @@ def decode_answer(payload: bytes, q: int) -> FqMatrix:
 
 
 def to_debug_json(query: Query) -> str:
-    """Human-inspectable JSON rendering of a query; the binary format is the contract."""
-    g = query.G
+    """Human-inspectable JSON rendering of a query, laid out as the wire
+    payload carries it: the decoy blocks, the trailing block and pi.  The
+    binary format is the contract."""
     doc = {
         "kind": "query",
-        "q": g.q,
+        "q": query.q,
         "K": len(query.pi),
-        "rows": g.rows,
-        "G": [list(r) for r in g.data],
+        "blocks": [blk.to_rows() for blk in query.blocks],
+        "trailing": query.trailing.to_rows(),
         "pi": list(query.pi),
     }
     return json.dumps(doc, sort_keys=True)
@@ -316,6 +318,7 @@ class AnswerServer(socketserver.ThreadingTCPServer):
         self._lock = threading.Lock()  # guards the live connections and the counters
         self._live: dict[socket.socket, threading.Thread] = {}
         self._closing = False
+        self._started = False  # serve_forever has begun
         self._connections = 0
         self._requests = 0
         self._errors: dict[str, int] = {}
@@ -335,6 +338,14 @@ class AnswerServer(socketserver.ThreadingTCPServer):
                 "requests": self._requests,
                 "errors": dict(self._errors),
             }
+
+    def serve_forever(self, poll_interval: float = 0.5) -> None:
+        """Serve until shutdown(); return at once if the server is closing."""
+        with self._lock:
+            if self._closing:
+                return
+            self._started = True
+        super().serve_forever(poll_interval)
 
     def start_background(self) -> threading.Thread:
         """Serve on a daemon thread, polling every _BACKGROUND_POLL_S s so
@@ -367,11 +378,15 @@ class AnswerServer(socketserver.ThreadingTCPServer):
         self._count_error(sys.exc_info()[1])
         super().handle_error(request, client_address)
 
-    def __enter__(self) -> "AnswerServer":
-        return self
-
     def __exit__(self, *exc) -> None:
-        self.shutdown()
+        # shutdown() waits for serve_forever to return, so it would wait
+        # forever on a server that never served.  A serve_forever that has
+        # not started by now never will: it sees _closing and returns.
+        with self._lock:
+            self._closing = True
+            started = self._started
+        if started:
+            self.shutdown()
         self.server_close()
 
     def _enter(self, conn: socket.socket) -> bool:
@@ -403,7 +418,9 @@ def serve(store: MessageStore, endpoint: str) -> AnswerServer:
 
 # -- client -----------------------------------------------------------------
 
-# At most one idle connection per (host, port), kept for the next fetch.
+# At most one idle connection per (host, port), kept for the next fetch,
+# for the _MAX_KEPT endpoints used last: the dict is in order of last use.
+_MAX_KEPT = 8
 _kept: dict[tuple[str, int], socket.socket] = {}
 _kept_lock = threading.Lock()
 
@@ -495,6 +512,8 @@ def fetch(endpoint: str, query: Query, timeout: float = 30.0) -> FqMatrix:
             raise
         with _kept_lock:
             kept = _kept.setdefault(addr, sock)
+            if len(_kept) > _MAX_KEPT:
+                _kept.pop(next(iter(_kept))).close()  # the endpoint used least recently
         if kept is not sock:
             sock.close()  # another fetch kept its connection first
         return y

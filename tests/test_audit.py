@@ -6,19 +6,16 @@ from fractions import Fraction
 
 import pytest
 
-from iplt import (
-    BadShape,
-    Demand,
-    FqMatrix,
-    ShapeError,
+from iplt.audit import (
     SupportCandidate,
     audit_individual_privacy,
     candidate_supports,
-    derive_params,
-    example_fixture,
     feasibility_sweep,
-    hstack,
 )
+from iplt.errors import BadShape, ShapeError
+from iplt.fixtures import example_fixture
+from iplt.matrix import FqMatrix, hstack
+from iplt.protocol import Demand, build_query, derive_params
 
 from oracles import exact_posterior
 
@@ -188,8 +185,6 @@ def test_audit_reports_exact_posterior_violations(monkeypatch):
 
 def test_audit_random_queries_exact_posterior():
     """Freshly built queries audit clean across shapes and seeds."""
-    from iplt import build_query
-
     for K, D, L, q in ((10, 4, 2, 17), (12, 5, 2, 17), (8, 4, 2, 17)):
         params = derive_params(K, D, L, q)
         for seed in range(4):

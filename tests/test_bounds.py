@@ -4,11 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from iplt import (
-    BadShape,
+from iplt.bounds import (
     SweepRow,
     SweepSkip,
-    TooLarge,
     capacity_exact,
     capacity_lower,
     capacity_upper,
@@ -19,6 +17,7 @@ from iplt import (
     render_csv,
     sweep,
 )
+from iplt.errors import BadShape, TooLarge
 
 from oracles import closed_form_rows, partitions_min_rows
 

@@ -545,8 +545,10 @@ def test_fetch_debug_json(capsys, tmp_path, live_server):
     )
     assert rc == 0
     obj = json.loads(out)
-    assert sorted(obj.keys()) == ["G", "K", "kind", "pi", "q", "rows"]
+    assert sorted(obj.keys()) == ["K", "blocks", "kind", "pi", "q", "trailing"]
     assert obj["q"] == 17 and obj["K"] == 10
+    widths = [len(rows[0]) for rows in (*obj["blocks"], obj["trailing"])]
+    assert sum(widths) == 10
     assert sorted(obj["pi"]) == list(range(10))
 
 

@@ -2,7 +2,8 @@
 
 import pytest
 
-from iplt import NotPrime, check_field, is_prime
+from iplt.errors import NotPrime
+from iplt.field import check_field, is_prime
 
 
 def test_is_prime_small_values():

@@ -143,9 +143,10 @@ def test_answer_bytes_meet_the_paper_rate(shape):
     assert Fraction(params.L * params.N * width, len(payload) - 8) == achieved_rate(params)
 
 
-def test_protocol_path_never_builds_dense_g(monkeypatch):
+def test_protocol_path_never_builds_dense_g(monkeypatch, tmp_path, capsys):
     """Build, the wire codecs, answer (in process and over loopback), recover,
-    audit and iplt demo all work on the blocks: dense G is never assembled."""
+    audit, iplt demo and iplt fetch --debug-json all work on the blocks:
+    dense G is never assembled."""
 
     def dense(query):
         raise AssertionError("dense G was assembled")
@@ -153,6 +154,15 @@ def test_protocol_path_never_builds_dense_g(monkeypatch):
     monkeypatch.setattr(Query, "G", property(dense))
     for which in ("9", "7"):
         assert main(["demo", "--K", "24", "--D", which, "--L", "2", "--q", "17"]) == 0
+    demand_file = tmp_path / "demand.txt"
+    demand_file.write_text("W: 1 3 5 8 13\n1 1 1 1 1\n1 2 3 4 5\n", encoding="utf-8")
+    capsys.readouterr()
+    with serve(MessageStore.random(17, 24, 1, random.Random(0)), "127.0.0.1:0") as srv:
+        srv.start_background()
+        argv = ["fetch", "--addr", srv.endpoint, "--demand", str(demand_file),
+                "--K", "24", "--q", "17", "--seed", "3", "--debug-json"]
+        assert main(argv) == 0
+    assert '"blocks": [[' in capsys.readouterr().out.splitlines()[0]
     cases = []
     for which in (1, 2, 3):
         fx = example_fixture(which)

@@ -7,37 +7,44 @@ from fractions import Fraction
 
 import pytest
 
-from iplt import (
+from iplt.audit import audit_individual_privacy
+from iplt.bounds import capacity_lower
+from iplt.errors import (
     AlignmentSingular,
     BadShape,
-    ClientSecret,
-    Demand,
     FieldTooSmall,
-    FqMatrix,
     NotGrs,
     NotMds,
     NotPrime,
-    Query,
     RecoveryInconsistent,
     ShapeError,
+)
+from iplt.fixtures import example_fixture
+from iplt.matrix import (
+    FqMatrix,
+    cauchy,
+    grs_generator,
+    grs_parameters,
+    random_grs_blocks,
+    right_null_space,
+)
+from iplt.protocol import (
+    ALIGN_S,
+    ClientSecret,
+    Demand,
+    Query,
+    _assemble_align_trailing,
     achieved_rate,
     alignment_coefficients,
     answer,
-    audit_individual_privacy,
     build_query,
-    capacity_lower,
-    cauchy,
     demand_positions,
     derive_params,
-    example_fixture,
     recover,
     select_block,
     shuffle_demand,
     solve_alignment,
 )
-
-from iplt.matrix import grs_generator, grs_parameters, random_grs_blocks, right_null_space
-from iplt.protocol import ALIGN_S, _assemble_align_trailing
 
 from oracles import NON_GRS_V_17, StubRng, naive_align_trailing, naive_matmul
 

@@ -14,38 +14,36 @@ from pathlib import Path
 
 import pytest
 
-import iplt
-from iplt import (
+import iplt.wire
+from iplt.audit import audit_individual_privacy
+from iplt.errors import (
     BadMagic,
-    Demand,
     EntryOutOfRange,
-    FqMatrix,
     FrameTooLarge,
     MalformedPayload,
-    MessageStore,
-    Query,
     ShapeError,
     TruncatedFile,
     VersionUnsupported,
-    answer,
-    audit_individual_privacy,
-    build_query,
+)
+from iplt.fixtures import example_fixture
+from iplt.matrix import FqMatrix
+from iplt.protocol import Demand, Query, answer, build_query, derive_params, recover
+from iplt.store import MessageStore, entry_width, store_load, store_save
+from iplt.wire import (
+    KIND_ANSWER,
+    KIND_ERROR,
+    KIND_QUERY,
+    MAX_FRAME,
     decode_answer,
     decode_query,
-    derive_params,
     encode_answer,
     encode_query,
-    example_fixture,
     parse_endpoint,
-    recover,
+    recv_frame,
     send_frame,
     serve,
-    store_load,
-    store_save,
     to_debug_json,
 )
-from iplt.store import entry_width
-from iplt.wire import KIND_ANSWER, KIND_ERROR, KIND_QUERY, MAX_FRAME, recv_frame
 
 from oracles import v1_query_payload, v2_answer_payload, v3_query_payload
 
@@ -242,14 +240,19 @@ def test_decode_answer_rejections():
 
 
 def test_debug_json_renderings():
-    """The JSON mirror of a query parses back to the same numbers."""
+    """The JSON mirror of a query parses back to the same numbers, laid out
+    as the wire payload carries them: decoy blocks, trailing block, pi."""
     import json
 
-    fx = example_fixture(1)
-    doc = json.loads(to_debug_json(fx.query))
-    assert doc["kind"] == "query" and doc["q"] == Q and doc["K"] == 24
-    assert doc["G"] == [list(r) for r in fx.query.G.data]
-    assert doc["pi"] == list(fx.query.pi) and doc["rows"] == fx.query.G.rows
+    for which in (1, 2, 3):
+        query = example_fixture(which).query
+        doc = json.loads(to_debug_json(query))
+        assert sorted(doc) == ["K", "blocks", "kind", "pi", "q", "trailing"]
+        assert doc["kind"] == "query" and doc["q"] == Q and doc["K"] == len(query.pi)
+        blocks = tuple(FqMatrix(Q, rows) for rows in doc["blocks"])
+        back = Query(blocks, FqMatrix(Q, doc["trailing"]), tuple(doc["pi"]))
+        assert back == query
+        assert decode_query(encode_query(back)) == query
 
 
 # -- framing ------------------------------------------------------------------------
@@ -305,7 +308,7 @@ def test_loopback_fetch_matches_in_process():
         fx = example_fixture(which)
         store = MessageStore.random(Q, fx.params.K, 3, random.Random(which))
         with _loopback(store) as srv:
-            got = iplt.fetch(srv.endpoint, fx.query)
+            got = iplt.wire.fetch(srv.endpoint, fx.query)
         local = answer(fx.query, store.X)
         assert got == local
         assert encode_answer(got) == encode_answer(local)
@@ -323,11 +326,11 @@ def test_fetch_remote_errors_map_to_package_exceptions(monkeypatch):
     small = MessageStore.random(Q, 10, 1, random.Random(0))
     with _loopback(small) as srv:
         with pytest.raises(ShapeError, match="^store has 10 messages, query expects 24$"):
-            iplt.fetch(srv.endpoint, fx.query)
+            iplt.wire.fetch(srv.endpoint, fx.query)
     other_field = MessageStore.random(19, 24, 1, random.Random(0))
     with _loopback(other_field) as srv:
         with pytest.raises(ShapeError, match=r"^query over GF\(17\), store over GF\(19\)$"):
-            iplt.fetch(srv.endpoint, fx.query)
+            iplt.wire.fetch(srv.endpoint, fx.query)
 
 
 def test_server_rejects_oversized_frame_header():
@@ -437,7 +440,7 @@ def test_fetch_reads_a_refusal_sent_before_the_body(monkeypatch):
     store = MessageStore.random(Q, 24, 1, random.Random(0))
     with _loopback(store) as srv:
         with pytest.raises(ShapeError, match=r"^query over GF\(19\)"):
-            iplt.fetch(srv.endpoint, example_fixture(1).query, timeout=5)
+            iplt.wire.fetch(srv.endpoint, example_fixture(1).query, timeout=5)
 
 
 def test_fetch_refuses_a_retired_answer_kind():
@@ -456,7 +459,7 @@ def test_fetch_refuses_a_retired_answer_kind():
         thread.start()
         host, port = listener.getsockname()[:2]
         with pytest.raises(MalformedPayload, match="unexpected frame kind 0x2"):
-            iplt.fetch(f"{host}:{port}", query, timeout=5)
+            iplt.wire.fetch(f"{host}:{port}", query, timeout=5)
         thread.join(timeout=5)
     assert not thread.is_alive()
 
@@ -479,7 +482,7 @@ def test_loopback_round_trip_at_each_width(shape, widths):
     w_q, w_k = widths
     assert len(encode_query(query)) == 28 + w_q * entries + w_k * params.K
     with _loopback(store) as srv:
-        ans = iplt.fetch(srv.endpoint, query)
+        ans = iplt.wire.fetch(srv.endpoint, query)
     assert len(encode_answer(ans)) == 8 + params.answer_rows * params.N * w_q
     assert recover(ans, secret, params, demand) == demand.value(store.X)
 
@@ -504,7 +507,7 @@ def test_block_payload_round_trips_at_k20000():
     assert len(payload) == 28 + 2 * entries + 2 * params.K == 240_028
     assert len(payload) + 1 <= MAX_FRAME
     with _loopback(store) as srv:
-        ans = iplt.fetch(srv.endpoint, query)
+        ans = iplt.wire.fetch(srv.endpoint, query)
     assert recover(ans, secret, params, demand) == demand.value(store.X)
     report = audit_individual_privacy(query, params, demand)
     assert report.ok and report.true_support_found
@@ -522,7 +525,7 @@ def test_concurrent_fetches():
         with _loopback(store) as srv:
             with ThreadPoolExecutor(max_workers=8) as pool:
                 futures = [
-                    pool.submit(lambda: [iplt.fetch(srv.endpoint, fx.query) for _ in range(8)])
+                    pool.submit(lambda: [iplt.wire.fetch(srv.endpoint, fx.query) for _ in range(8)])
                     for _ in range(8)
                 ]
                 results = [y for f in futures for y in f.result(timeout=30)]
@@ -559,7 +562,7 @@ def test_sequential_fetches_reuse_one_connection(connects):
     expected = answer(fx.query, store.X)
     with _loopback(store) as srv:
         for _ in range(20):
-            assert iplt.fetch(srv.endpoint, fx.query) == expected
+            assert iplt.wire.fetch(srv.endpoint, fx.query) == expected
     assert len(connects) == 1
     assert srv.stats() == {"connections": 1, "requests": 20, "errors": {}}
 
@@ -582,10 +585,10 @@ def test_fetch_resends_the_same_bytes_after_an_idle_close(monkeypatch, connects)
     fx = example_fixture(2)
     store = MessageStore.random(Q, 24, 2, random.Random(5))
     with _loopback(store) as srv:
-        iplt.fetch(srv.endpoint, fx.query)
+        iplt.wire.fetch(srv.endpoint, fx.query)
         time.sleep(0.4)
         del encoded[:], sent[:]
-        assert iplt.fetch(srv.endpoint, fx.query) == answer(fx.query, store.X)
+        assert iplt.wire.fetch(srv.endpoint, fx.query) == answer(fx.query, store.X)
     assert len(connects) == 2
     assert len(encoded) == 1 and sent == encoded * 2
     assert srv.stats() == {"connections": 2, "requests": 2, "errors": {}}
@@ -605,7 +608,7 @@ def test_a_new_connection_is_not_retried(connects):
         thread.start()
         host, port = listener.getsockname()[:2]
         with pytest.raises(MalformedPayload, match="connection closed after 0 of 4 bytes"):
-            iplt.fetch(f"{host}:{port}", example_fixture(1).query, timeout=5)
+            iplt.wire.fetch(f"{host}:{port}", example_fixture(1).query, timeout=5)
         thread.join(timeout=5)
     assert not thread.is_alive()
     assert len(connects) == 1
@@ -620,12 +623,12 @@ def test_an_error_frame_closes_the_connection(connects):
     other = build_query(Demand.random(params, rng), params, rng)[0]
     store = MessageStore.random(Q, 24, 1, random.Random(0))
     with _loopback(store) as srv:
-        iplt.fetch(srv.endpoint, fx.query)
+        iplt.wire.fetch(srv.endpoint, fx.query)
         with pytest.raises(ShapeError, match="^store has 24 messages, query expects 10$"):
-            iplt.fetch(srv.endpoint, other)
+            iplt.wire.fetch(srv.endpoint, other)
         assert len(connects) == 1
         assert parse_endpoint(srv.endpoint) not in iplt.wire._kept
-        assert iplt.fetch(srv.endpoint, fx.query) == answer(fx.query, store.X)
+        assert iplt.wire.fetch(srv.endpoint, fx.query) == answer(fx.query, store.X)
     assert len(connects) == 2
     assert srv.stats() == {"connections": 2, "requests": 2, "errors": {"ShapeError": 1}}
 
@@ -655,7 +658,7 @@ def test_clients_that_keep_fetching_do_not_block_another(monkeypatch):
             busy = [pool.submit(keep_fetching, addr, got) for got in replies]
             try:
                 time.sleep(0.3)  # past one idle timeout
-                got = iplt.fetch(srv.endpoint, fx.query, timeout=2)
+                got = iplt.wire.fetch(srv.endpoint, fx.query, timeout=2)
                 assert not any(f.done() for f in busy)
             finally:
                 stop.set()
@@ -677,7 +680,7 @@ def test_no_handler_outlives_server_close():
     before = set(threading.enumerate())
     srv = serve(store, "127.0.0.1:0")
     srv.start_background()
-    iplt.fetch(srv.endpoint, fx.query)
+    iplt.wire.fetch(srv.endpoint, fx.query)
     with socket.create_connection(parse_endpoint(srv.endpoint), timeout=5) as silent:
         until = time.monotonic() + 5
         while srv.stats()["connections"] < 2 and time.monotonic() < until:
@@ -694,6 +697,57 @@ def test_no_handler_outlives_server_close():
         assert silent.recv(1) == b""
 
 
+@pytest.mark.parametrize("raised", [None, ValueError("raised inside the block")])
+def test_leaving_a_server_that_never_served(raised):
+    """A with block around a server whose serve_forever never ran exits at
+    once, and an exception raised inside the block reaches the caller."""
+    store = MessageStore.random(Q, 24, 1, random.Random(0))
+    outcome = []
+
+    def leave():
+        try:
+            with serve(store, "127.0.0.1:0"):
+                if raised is not None:
+                    raise raised
+        except ValueError as exc:
+            outcome.append(exc)
+        else:
+            outcome.append(None)
+
+    thread = threading.Thread(target=leave, daemon=True)
+    thread.start()
+    thread.join(timeout=2)
+    assert not thread.is_alive()
+    assert outcome == [raised]
+
+
+def test_kept_connections_are_capped(monkeypatch):
+    """After one fetch from each of ten short-lived servers, fetch keeps
+    connections to at most _MAX_KEPT endpoints, the last one used among
+    them, and every connection it dropped is closed."""
+    monkeypatch.setattr(iplt.wire, "_kept", {})
+    opened = []
+    create = socket.create_connection
+    monkeypatch.setattr(
+        socket, "create_connection", lambda *a, **kw: opened.append(create(*a, **kw)) or opened[-1]
+    )
+    fx = example_fixture(1)
+    store = MessageStore.random(Q, 24, 1, random.Random(0))
+    for _ in range(10):
+        with _loopback(store) as srv:
+            iplt.wire.fetch(srv.endpoint, fx.query)
+    kept = iplt.wire._kept
+    try:
+        assert len(opened) >= 10  # more only if an ephemeral port came round again
+        assert 0 < len(kept) <= iplt.wire._MAX_KEPT
+        assert list(kept)[-1] == parse_endpoint(srv.endpoint)
+        dropped = [sock for sock in opened if sock not in kept.values()]
+        assert all(sock.fileno() == -1 for sock in dropped)
+    finally:
+        for sock in kept.values():
+            sock.close()
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_a_forked_child_opens_its_own_connection(connects):
     """After a fork the child starts with no kept connection and opens its
@@ -703,18 +757,18 @@ def test_a_forked_child_opens_its_own_connection(connects):
     store = MessageStore.random(Q, 24, 2, random.Random(3))
     expected = answer(fx.query, store.X)
     with _loopback(store) as srv:
-        iplt.fetch(srv.endpoint, fx.query)
+        iplt.wire.fetch(srv.endpoint, fx.query)
         pid = os.fork()
         if pid == 0:
             code = 1
             try:
-                if not iplt.wire._kept and iplt.fetch(srv.endpoint, fx.query) == expected:
+                if not iplt.wire._kept and iplt.wire.fetch(srv.endpoint, fx.query) == expected:
                     code = 0
             finally:
                 os._exit(code)
         _, status = os.waitpid(pid, 0)
         assert os.waitstatus_to_exitcode(status) == 0
-        assert iplt.fetch(srv.endpoint, fx.query) == expected
+        assert iplt.wire.fetch(srv.endpoint, fx.query) == expected
     assert len(connects) == 1  # the parent's; the child's is counted in the child
     assert srv.stats() == {"connections": 2, "requests": 3, "errors": {}}
 
