@@ -372,11 +372,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
             f"store: {store.K} messages of {store.N} symbols over GF({store.q})",
             flush=True,
         )
-        srv.serve_forever()
+        srv.wait()
     except KeyboardInterrupt:
         pass
     finally:
-        srv.server_close()
+        srv.close()
         stats = srv.stats()
         errors = ", ".join(f"{name} {n}" for name, n in sorted(stats["errors"].items()))
         print(

@@ -16,11 +16,14 @@ Earlier payloads (the dense v1 query, kind 0x01; the 4-byte block query,
 kind 0x03; the 8-byte answer, kind 0x02) are refused as malformed.
 
 The server side only ever touches the query and the stored matrix, and
-serves a read-only store with one thread per connection.  That thread
-answers the connection's frames one after another until the client closes
-it, an error frame is sent, or a frame misses its deadline: all of the
-frame must arrive within _IDLE_TIMEOUT_S seconds of when the thread starts
-waiting for it, however the client paces its bytes.  The server reads the
+serves a read-only store.  serve() binds it and starts serving; close(),
+or leaving it as a context manager, stops it at once, and wait() blocks
+until then.  One thread accepts, waiting in a selector that close() wakes,
+and each connection gets a thread of its own.  That thread answers the
+connection's frames one after another until the client closes it, an
+error frame is sent, or a frame misses its deadline: all of the frame must
+arrive within _IDLE_TIMEOUT_S seconds of when the thread starts waiting
+for it, however the client paces its bytes.  The server reads the
 length, the kind and the 28-byte query header first, and refuses a wrong
 kind, a query whose q or K differs from the store's, or a size that does
 not fit the header before it reads the rest of the frame.
@@ -29,19 +32,21 @@ fetch keeps one idle connection per endpoint, for the _MAX_KEPT endpoints
 it used last, and sends the next query over it.  If the server closed that
 connection before any reply byte, the same encoded bytes are sent once
 more on a new connection; a new query is never built for the retry.  A
-forked child starts with no kept connection.
+forked child starts with no kept connection, and the kept connections
+are closed at exit.
 """
 
 from __future__ import annotations
 
+import atexit
 import json
 import os
+import selectors
 import socket
-import socketserver
 import struct
-import sys
 import threading
 import time
+import traceback
 
 from . import errors as _errors
 from .errors import (
@@ -60,7 +65,6 @@ KIND_QUERY = 0x04
 KIND_ANSWER = 0x05
 KIND_ERROR = 0xFF
 MAX_FRAME = 64 * 1024 * 1024
-_BACKGROUND_POLL_S = 0.05
 _IDLE_TIMEOUT_S = 30.0
 
 _QUERY_HEAD = struct.Struct("<7I")
@@ -238,96 +242,26 @@ def parse_endpoint(endpoint: str) -> tuple[str, int]:
 # -- server -----------------------------------------------------------------
 
 
-class _AnswerHandler(socketserver.BaseRequestHandler):
-    """Answers one connection's query frames, one after another."""
-
-    def handle(self) -> None:
-        if not self.server._enter(self.request):
-            return  # server_close has begun
-        try:
-            self._answer_frames()
-        finally:
-            self.server._leave(self.request)
-
-    def _answer_frames(self) -> None:
-        """Answer frames until EOF, an error frame, or a missed deadline."""
-        conn = self.request
-        while True:
-            deadline = time.monotonic() + _IDLE_TIMEOUT_S
-            conn.settimeout(_IDLE_TIMEOUT_S)
-            try:
-                if not conn.recv(1, socket.MSG_PEEK):
-                    return  # the client closed the connection between frames
-            except OSError:
-                return  # idle past the deadline, or reset between frames
-            try:
-                y = self._read_and_answer(deadline)
-                # The reads left the socket timeout at what remained of the deadline.
-                conn.settimeout(_IDLE_TIMEOUT_S)
-                send_frame(conn, KIND_ANSWER, encode_answer(y))
-            except IpltError as exc:
-                self.server._count_error(exc)
-                self._reply_error(exc)
-                return
-            except OSError as exc:  # the frame missed its deadline, or the client reset
-                self.server._count_error(exc)
-                return
-            self.server._count_request()
-
-    def _read_and_answer(self, deadline: float) -> FqMatrix:
-        """Read one query frame, all of it by the deadline, and answer it.
-
-        A wrong kind, a query for another store, or a size that does not
-        fit the header is refused before the rest of the frame is read:
-        a client may declare up to 64 MiB, and decoding costs far more
-        memory than the payload it reads.
-        """
-        length = _recv_length(self.request, deadline)
-        # The kind byte and the query header, or the whole frame if shorter.
-        first = _recv_exact(self.request, min(length, 1 + _QUERY_HEAD.size), deadline)
-        if first[0] != KIND_QUERY:
-            raise MalformedPayload(f"unexpected frame kind {first[0]:#x}")
-        head, size = first[1:], length - 1
-        q, k, _, _ = _query_layout(head, size)
-        store = self.server.store
-        if q != store.q:
-            raise ShapeError(f"query over GF({q}), store over GF({store.q})")
-        if k != store.K:
-            raise ShapeError(f"store has {store.K} messages, query expects {k}")
-        payload = head + _recv_exact(self.request, size - len(head), deadline)
-        return answer(decode_query(payload), store.X)
-
-    def _reply_error(self, exc: Exception) -> None:
-        text = f"{type(exc).__name__}: {exc}"
-        self.request.settimeout(_IDLE_TIMEOUT_S)
-        try:
-            send_frame(self.request, KIND_ERROR, text.encode("utf-8"))
-        except OSError:
-            pass
-
-
-class AnswerServer(socketserver.ThreadingTCPServer):
-    """TCP server over a read-only store: one thread per connection, which
-    answers the connection's query frames one after another."""
-
-    allow_reuse_address = True
-    daemon_threads = True
+class AnswerServer:
+    """TCP server over a read-only store, serving from the moment it is
+    made until close(): one accept thread, and one thread per connection."""
 
     def __init__(self, store: MessageStore, endpoint: str):
         self.store = store
+        self._listener = socket.create_server(parse_endpoint(endpoint))
+        self._listener.setblocking(False)  # accept raises, not waits, if the client left
+        host, port = self._listener.getsockname()[:2]
+        self.endpoint = f"{host}:{port}"
         self._lock = threading.Lock()  # guards the live connections and the counters
         self._live: dict[socket.socket, threading.Thread] = {}
         self._closing = False
-        self._started = False  # serve_forever has begun
+        self._closed = threading.Event()
         self._connections = 0
         self._requests = 0
         self._errors: dict[str, int] = {}
-        super().__init__(parse_endpoint(endpoint), _AnswerHandler)
-
-    @property
-    def endpoint(self) -> str:
-        host, port = self.server_address[:2]
-        return f"{host}:{port}"
+        self._wake, self._waker = socket.socketpair()  # close() writes one byte to _waker
+        self._accepter = threading.Thread(target=self._accept_connections, daemon=True)
+        self._accepter.start()
 
     def stats(self) -> dict:
         """Connections accepted, requests answered, and errors by exception
@@ -339,29 +273,22 @@ class AnswerServer(socketserver.ThreadingTCPServer):
                 "errors": dict(self._errors),
             }
 
-    def serve_forever(self, poll_interval: float = 0.5) -> None:
-        """Serve until shutdown(); return at once if the server is closing."""
+    def wait(self) -> None:
+        """Block until the server is closed."""
+        self._closed.wait()
+
+    def close(self) -> None:
+        """Stop accepting, shut down every live connection, and return once
+        the threads answering them have stopped; later calls return at once."""
         with self._lock:
             if self._closing:
                 return
-            self._started = True
-        super().serve_forever(poll_interval)
-
-    def start_background(self) -> threading.Thread:
-        """Serve on a daemon thread, polling every _BACKGROUND_POLL_S s so
-        shutdown() returns quickly; returns the thread."""
-        thread = threading.Thread(
-            target=self.serve_forever, args=(_BACKGROUND_POLL_S,), daemon=True
-        )
-        thread.start()
-        return thread
-
-    def server_close(self) -> None:
-        """Close the listening socket, shut down every live connection, and
-        return once the threads answering them have stopped."""
-        super().server_close()
-        with self._lock:
             self._closing = True
+        self._waker.send(b"\0")
+        self._accepter.join()  # after this, no connection is added to _live
+        for sock in (self._listener, self._wake, self._waker):
+            sock.close()
+        with self._lock:
             live = list(self._live.items())
         for conn, _ in live:
             try:
@@ -372,38 +299,104 @@ class AnswerServer(socketserver.ThreadingTCPServer):
         for _, thread in live:
             if thread is not threading.current_thread():
                 thread.join()
+        self._closed.set()
 
-    def handle_error(self, request, client_address) -> None:
-        """Count a fault in this program, then print its traceback."""
-        self._count_error(sys.exc_info()[1])
-        super().handle_error(request, client_address)
+    def __enter__(self) -> AnswerServer:
+        return self
 
     def __exit__(self, *exc) -> None:
-        # shutdown() waits for serve_forever to return, so it would wait
-        # forever on a server that never served.  A serve_forever that has
-        # not started by now never will: it sees _closing and returns.
-        with self._lock:
-            self._closing = True
-            started = self._started
-        if started:
-            self.shutdown()
-        self.server_close()
+        self.close()
 
-    def _enter(self, conn: socket.socket) -> bool:
-        with self._lock:
-            if self._closing:
-                return False
-            self._live[conn] = threading.current_thread()
-            self._connections += 1
-            return True
+    def _accept_connections(self) -> None:
+        """Start a thread for each connection until close() wakes the selector."""
+        with selectors.DefaultSelector() as selector:
+            selector.register(self._listener, selectors.EVENT_READ)
+            selector.register(self._wake, selectors.EVENT_READ)
+            while True:
+                for key, _ in selector.select():
+                    if key.fileobj is self._wake:
+                        return
+                    try:
+                        conn, _ = self._listener.accept()
+                    except OSError:
+                        continue  # the client went away before it was accepted
+                    thread = threading.Thread(
+                        target=self._serve_connection, args=(conn,), daemon=True
+                    )
+                    with self._lock:
+                        self._live[conn] = thread
+                        self._connections += 1
+                    thread.start()
 
-    def _leave(self, conn: socket.socket) -> None:
-        with self._lock:
-            self._live.pop(conn, None)
+    def _serve_connection(self, conn: socket.socket) -> None:
+        """Answer one connection's frames, then close it."""
+        try:
+            self._answer_frames(conn)
+        except Exception as exc:  # a fault in this program
+            self._count_error(exc)
+            # Printed here, not by threading.excepthook, so close(), which
+            # joins only the live connections' threads, waits for it.
+            traceback.print_exc()
+        finally:
+            with self._lock:
+                self._live.pop(conn, None)
+            conn.close()
 
-    def _count_request(self) -> None:
-        with self._lock:
-            self._requests += 1
+    def _answer_frames(self, conn: socket.socket) -> None:
+        """Answer frames until EOF, an error frame, or a missed deadline."""
+        while True:
+            deadline = time.monotonic() + _IDLE_TIMEOUT_S
+            conn.settimeout(_IDLE_TIMEOUT_S)
+            try:
+                if not conn.recv(1, socket.MSG_PEEK):
+                    return  # the client closed the connection between frames
+            except OSError:
+                return  # idle past the deadline, or reset between frames
+            try:
+                y = self._read_and_answer(conn, deadline)
+                # The reads left the socket timeout at what remained of the deadline.
+                conn.settimeout(_IDLE_TIMEOUT_S)
+                send_frame(conn, KIND_ANSWER, encode_answer(y))
+            except IpltError as exc:
+                self._count_error(exc)
+                self._reply_error(conn, exc)
+                return
+            except OSError as exc:  # the frame missed its deadline, or the client reset
+                self._count_error(exc)
+                return
+            with self._lock:
+                self._requests += 1
+
+    def _read_and_answer(self, conn: socket.socket, deadline: float) -> FqMatrix:
+        """Read one query frame, all of it by the deadline, and answer it.
+
+        A wrong kind, a query for another store, or a size that does not
+        fit the header is refused before the rest of the frame is read:
+        a client may declare up to 64 MiB, and decoding costs far more
+        memory than the payload it reads.
+        """
+        length = _recv_length(conn, deadline)
+        # The kind byte and the query header, or the whole frame if shorter.
+        first = _recv_exact(conn, min(length, 1 + _QUERY_HEAD.size), deadline)
+        if first[0] != KIND_QUERY:
+            raise MalformedPayload(f"unexpected frame kind {first[0]:#x}")
+        head, size = first[1:], length - 1
+        q, k, _, _ = _query_layout(head, size)
+        store = self.store
+        if q != store.q:
+            raise ShapeError(f"query over GF({q}), store over GF({store.q})")
+        if k != store.K:
+            raise ShapeError(f"store has {store.K} messages, query expects {k}")
+        payload = head + _recv_exact(conn, size - len(head), deadline)
+        return answer(decode_query(payload), store.X)
+
+    def _reply_error(self, conn: socket.socket, exc: Exception) -> None:
+        text = f"{type(exc).__name__}: {exc}"
+        conn.settimeout(_IDLE_TIMEOUT_S)
+        try:
+            send_frame(conn, KIND_ERROR, text.encode("utf-8"))
+        except OSError:
+            pass
 
     def _count_error(self, exc: BaseException) -> None:
         name = type(exc).__name__
@@ -412,7 +405,8 @@ class AnswerServer(socketserver.ThreadingTCPServer):
 
 
 def serve(store: MessageStore, endpoint: str) -> AnswerServer:
-    """Bind an answer server to the endpoint; the caller starts it."""
+    """Bind an answer server to the endpoint and start serving; close() it,
+    or leave it as a context manager, to stop it."""
     return AnswerServer(store, endpoint)
 
 
@@ -426,9 +420,10 @@ _kept_lock = threading.Lock()
 
 
 def _forget_kept() -> None:
-    """In a forked child, drop the kept connections it shares with its
-    parent, so that only the parent sends on them.  Closing the child's
-    copy leaves the parent's connection open."""
+    """Close and drop the kept connections: in a forked child, so that only
+    the parent sends on the ones it shares with it (closing the child's
+    copy leaves the parent's connection open), and at exit, so that none
+    is left to the garbage collector."""
     global _kept_lock
     _kept_lock = threading.Lock()  # another thread may have held it at the fork
     for sock in _kept.values():
@@ -437,6 +432,7 @@ def _forget_kept() -> None:
 
 
 os.register_at_fork(after_in_child=_forget_kept)
+atexit.register(_forget_kept)
 
 
 def _error_by_name(name: str):

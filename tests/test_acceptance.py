@@ -433,12 +433,10 @@ def test_criterion_9_file_and_wire_round_trips(capfd):
                 problems.append(f"instance {which}: store file round trip drifted")
 
         srv = serve(store, "127.0.0.1:0")
-        srv.start_background()
         try:
             remote = fetch(srv.endpoint, fx.query)
         finally:
-            srv.shutdown()
-            srv.server_close()
+            srv.close()
         if encode_answer(remote) != encode_answer(local):
             problems.append(f"instance {which}: loopback answer differs from in-process")
     _verdict(capfd, 9, "file and wire round trips", problems, time.perf_counter() - t0)

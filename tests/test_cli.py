@@ -6,6 +6,7 @@ import os
 import random
 import re
 import signal
+import socket
 import subprocess
 import sys
 from pathlib import Path
@@ -460,10 +461,8 @@ def live_server(small_store):
     """A background answer server bound to an ephemeral port."""
     store, _ = small_store
     srv = serve(store, "127.0.0.1:0")
-    srv.start_background()
     yield store, srv.endpoint
-    srv.shutdown()
-    srv.server_close()
+    srv.close()
 
 
 def write_demand(tmp_path, text):
@@ -725,6 +724,19 @@ def test_serve_stops_on_sigint_with_a_kept_connection(small_store):
     assert proc.returncode == 0
     assert out == ""
     assert err == "served 1 connections, 3 requests; errors: none\n"
+
+
+def test_serve_on_a_port_in_use_exits_two(capsys, small_store):
+    """Binding to a port that another socket listens on exits 2 with one
+    error line and nothing on stdout."""
+    _, spath = small_store
+    with socket.create_server(("127.0.0.1", 0)) as taken:
+        addr = f"127.0.0.1:{taken.getsockname()[1]}"
+        rc, out, err = run_cli(capsys, ["serve", "--store", str(spath), "--addr", addr])
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
 
 
 # -- top level ------------------------------------------------------------

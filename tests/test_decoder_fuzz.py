@@ -32,7 +32,6 @@ from iplt.wire import (
     KIND_ANSWER,
     KIND_ERROR,
     KIND_QUERY,
-    _AnswerHandler,
     decode_answer,
     decode_query,
     encode_answer,
@@ -225,27 +224,21 @@ def test_store_load_refuses_or_returns_entries_below_q(path, data):
 
 @pytest.fixture(scope="module")
 def servers():
-    """An answer server, never started, per (q, K) of the golden stores
-    (the last store of each); the test runs its handler on one end of a
+    """An answer server per (q, K) of the golden stores (the last store of
+    each); the test runs its per-connection method on one end of a
     socketpair."""
     stores = {(store.q, store.K): store for *_, store in VALID}
     made = {key: serve(store, "127.0.0.1:0") for key, store in stores.items()}
     yield made
     for srv in made.values():
-        with srv:
-            pass
+        srv.close()
 
 
 def _server_reply(srv, payload: bytes) -> tuple[int, bytes]:
     """Send payload as one query frame to srv's handler over a socketpair,
     then close the sending side, and read the one reply frame."""
     client, conn = socket.socketpair()
-
-    def handle():
-        with conn:  # closed when the handler returns, as the server does
-            _AnswerHandler(conn, ("pair", 0), srv)
-
-    handler = threading.Thread(target=handle)
+    handler = threading.Thread(target=srv._serve_connection, args=(conn,))  # closes conn
     handler.start()
     with client:
         client.settimeout(5)

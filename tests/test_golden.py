@@ -158,7 +158,6 @@ def test_protocol_path_never_builds_dense_g(monkeypatch, tmp_path, capsys):
     demand_file.write_text("W: 1 3 5 8 13\n1 1 1 1 1\n1 2 3 4 5\n", encoding="utf-8")
     capsys.readouterr()
     with serve(MessageStore.random(17, 24, 1, random.Random(0)), "127.0.0.1:0") as srv:
-        srv.start_background()
         argv = ["fetch", "--addr", srv.endpoint, "--demand", str(demand_file),
                 "--K", "24", "--q", "17", "--seed", "3", "--debug-json"]
         assert main(argv) == 0
@@ -179,7 +178,6 @@ def test_protocol_path_never_builds_dense_g(monkeypatch, tmp_path, capsys):
         stores.setdefault(key, MessageStore.random(*key, 2, random.Random(params.K)))
     for (q, k), store in stores.items():
         with serve(store, "127.0.0.1:0") as srv:
-            srv.start_background()
             for params, demand, query, secret in cases:
                 if (params.q, params.K) != (q, k):
                     continue
@@ -221,7 +219,6 @@ def test_unchecked_matrices_pass_the_public_checks(monkeypatch):
         params = derive_params(*shape)
         store = MessageStore.random(params.q, params.K, params.N, random.Random(0))
         with serve(store, "127.0.0.1:0") as srv:
-            srv.start_background()
             for seed in range(6):
                 rng = random.Random(seed)
                 demand = Demand.random(params, rng)

@@ -6,7 +6,9 @@ import random
 import select
 import socket
 import struct
+import subprocess
 import sys
+import textwrap
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -297,9 +299,7 @@ def test_frame_roundtrip_over_socketpair():
 
 
 def _loopback(store):
-    srv = serve(store, "127.0.0.1:0")
-    srv.start_background()
-    return srv
+    return serve(store, "127.0.0.1:0")
 
 
 def test_loopback_fetch_matches_in_process():
@@ -633,6 +633,28 @@ def test_an_error_frame_closes_the_connection(connects):
     assert srv.stats() == {"connections": 2, "requests": 2, "errors": {"ShapeError": 1}}
 
 
+def test_a_fault_in_the_server_is_counted_and_printed(monkeypatch, capsys):
+    """A fault in this program while answering closes that connection with
+    no reply, so fetch raises MalformedPayload; the server counts it by
+    name, prints its traceback, and answers the next fetch."""
+
+    def broken(query, x):
+        raise RuntimeError("answer is broken")
+
+    fx = example_fixture(1)
+    store = MessageStore.random(Q, 24, 1, random.Random(0))
+    with _loopback(store) as srv:
+        with monkeypatch.context() as patch:
+            patch.setattr(iplt.wire, "answer", broken)
+            with pytest.raises(MalformedPayload):
+                iplt.wire.fetch(srv.endpoint, fx.query)
+        assert iplt.wire.fetch(srv.endpoint, fx.query) == answer(fx.query, store.X)
+    assert srv.stats() == {"connections": 2, "requests": 1, "errors": {"RuntimeError": 1}}
+    err = capsys.readouterr().err
+    assert "Traceback" in err
+    assert "RuntimeError: answer is broken" in err
+
+
 def test_clients_that_keep_fetching_do_not_block_another(monkeypatch):
     """Eight clients that each send a frame every 0.1 s over their own
     connection, with a 0.2 s idle timeout, do not hold up a ninth client's
@@ -672,24 +694,22 @@ def test_clients_that_keep_fetching_do_not_block_another(monkeypatch):
 
 
 def test_no_handler_outlives_server_close():
-    """server_close stops every thread the server started, those waiting on
+    """close() stops every thread the server started, those waiting on
     a kept connection and on a silent one among them, without waiting out
     the idle timeout."""
     fx = example_fixture(1)
     store = MessageStore.random(Q, 24, 1, random.Random(0))
     before = set(threading.enumerate())
     srv = serve(store, "127.0.0.1:0")
-    srv.start_background()
     iplt.wire.fetch(srv.endpoint, fx.query)
     with socket.create_connection(parse_endpoint(srv.endpoint), timeout=5) as silent:
         until = time.monotonic() + 5
         while srv.stats()["connections"] < 2 and time.monotonic() < until:
             time.sleep(0.01)
         started = set(threading.enumerate()) - before
-        assert len(started) == 3  # serve_forever and one thread per connection
+        assert len(started) == 3  # the accept thread and one thread per connection
         start = time.monotonic()
-        srv.shutdown()
-        srv.server_close()
+        srv.close()
         assert time.monotonic() - start < 1  # not the 30 s idle timeout
         for thread in started:
             thread.join(timeout=1)
@@ -697,10 +717,52 @@ def test_no_handler_outlives_server_close():
         assert silent.recv(1) == b""
 
 
+def test_close_while_clients_connect():
+    """close(), called while eight threads keep opening connections and
+    sending one query on each, with a short switch interval, returns
+    within 2 s, stops every thread the server started, and has counted
+    exactly the answers the clients read."""
+    fx = example_fixture(1)
+    store = MessageStore.random(Q, 24, 1, random.Random(0))
+    body = encode_query(fx.query)
+    before = set(threading.enumerate())
+    srv = serve(store, "127.0.0.1:0")
+    addr = parse_endpoint(srv.endpoint)
+
+    def keep_connecting():
+        answered = 0
+        while True:
+            try:
+                with socket.create_connection(addr, timeout=5) as sock:
+                    send_frame(sock, KIND_QUERY, body)
+                    recv_frame(sock)
+            except (OSError, MalformedPayload):
+                return answered
+            answered += 1
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            clients = [pool.submit(keep_connecting) for _ in range(8)]
+            time.sleep(0.2)
+            start = time.monotonic()
+            srv.close()
+            closing = time.monotonic() - start
+            answered = sum(f.result(timeout=10) for f in clients)
+    finally:
+        sys.setswitchinterval(interval)
+    assert closing < 2
+    started = set(threading.enumerate()) - before
+    assert not any(thread.is_alive() for thread in started)
+    assert answered > 0
+    assert srv.stats()["requests"] == answered
+
+
 @pytest.mark.parametrize("raised", [None, ValueError("raised inside the block")])
 def test_leaving_a_server_that_never_served(raised):
-    """A with block around a server whose serve_forever never ran exits at
-    once, and an exception raised inside the block reaches the caller."""
+    """A with block around a server that never accepted a connection exits
+    at once, and an exception raised inside the block reaches the caller."""
     store = MessageStore.random(Q, 24, 1, random.Random(0))
     outcome = []
 
@@ -719,6 +781,58 @@ def test_leaving_a_server_that_never_served(raised):
     thread.join(timeout=2)
     assert not thread.is_alive()
     assert outcome == [raised]
+
+
+def test_leaving_a_server_is_prompt(monkeypatch):
+    """Twenty with blocks that each served one fetch take under 0.25 s in
+    all to leave: close() wakes the accept thread rather than waiting for
+    it to poll."""
+    monkeypatch.setattr(iplt.wire, "_kept", {})
+    fx = example_fixture(1)
+    store = MessageStore.random(Q, 24, 1, random.Random(0))
+    leaving = 0.0
+    try:
+        for _ in range(20):
+            with _loopback(store) as srv:
+                iplt.wire.fetch(srv.endpoint, fx.query)
+                start = time.monotonic()
+            leaving += time.monotonic() - start
+    finally:
+        for sock in iplt.wire._kept.values():
+            sock.close()
+    assert leaving < 0.25
+
+
+def test_kept_connections_are_closed_at_exit():
+    """A process that fetched closes its kept connections at exit: a check
+    registered with atexit before iplt.wire is imported runs after the
+    package's own hook and finds every kept socket closed."""
+    script = textwrap.dedent(
+        """
+        import atexit, random
+        kept = []
+        atexit.register(lambda: print("open at exit:", sum(s.fileno() != -1 for s in kept)))
+        import iplt.wire
+        from iplt.fixtures import example_fixture
+        from iplt.store import MessageStore
+        store = MessageStore.random(17, 24, 1, random.Random(0))
+        with iplt.wire.serve(store, "127.0.0.1:0") as srv:
+            iplt.wire.fetch(srv.endpoint, example_fixture(1).query)
+        kept.extend(iplt.wire._kept.values())
+        print("kept:", len(kept))
+        """
+    )
+    # The child imports the same iplt as this process, installed or not.
+    path = [str(Path(iplt.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=30,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "kept: 1\nopen at exit: 0\n"
 
 
 def test_kept_connections_are_capped(monkeypatch):
